@@ -28,7 +28,7 @@ from .fields import ScalarField
 from .grid import Grid
 from .initial import gaussian_bump, random_smooth, single_mode, two_mode
 from .integrator import BlowUpError, SolverState, run
-from .modulus import EXHAUSTIVE_LIMIT, ModulusParams, audit_breakthrough, minimal_b
+from .modulus import ModulusParams, audit_breakthrough, minimal_b
 from .snapshot import SnapshotError, read_snapshot, write_snapshot
 
 CSV_HEADER = "t,l2,linf,max_grad,mean,nonlinear_flux,dispersive_flux,dissipation,b_min"
@@ -87,13 +87,8 @@ def execute_run(cfg: RunConfig) -> list[DiagnosticsRecord]:
     grid = Grid(cfg.n)
     theta0 = make_initial(cfg, grid)
     state0 = SolverState(theta=theta0, t=0.0, A=cfg.A)
-    scfg = SampleConfig(
-        modulus_params=cfg.modulus_params(),
-        certify_every=cfg.certify_every,
-        pair_mode=cfg.resolved_certify_mode(),
-        pair_samples=cfg.certify_samples,
-        pair_seed=cfg.certify_seed,
-    )
+    scfg = SampleConfig(modulus_params=cfg.modulus_params(),
+                        certify_every=cfg.certify_every)
 
     records: list[DiagnosticsRecord] = []
 
@@ -121,8 +116,9 @@ def _sweep_worker(cfg: RunConfig) -> tuple[float, str, str, str, int]:
     """Run one sweep member; returns a summary row plus an exit status."""
     try:
         records = execute_run(cfg)
-    except (BlowUpError, L2ViolationError) as exc:
-        code = 3 if isinstance(exc, L2ViolationError) else 1
+    except (BlowUpError, L2ViolationError, ValueError) as exc:
+        code = (1 if isinstance(exc, BlowUpError)
+                else 3 if isinstance(exc, L2ViolationError) else 2)
         print(f"sweep member A={cfg.A:g} failed: {exc}", file=sys.stderr)
         return cfg.A, "", "", "", code
     max_linf = max(rec.linf for rec in records)
@@ -157,21 +153,14 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--init-path", dest="init_path")
     parser.add_argument("--sample-every", type=float, dest="sample_every")
     parser.add_argument("--certify-every", type=int, dest="certify_every")
-    parser.add_argument("--certify-mode", dest="certify_mode",
-                        choices=["auto", "exhaustive", "sampled"])
-    parser.add_argument("--certify-samples", type=int, dest="certify_samples")
-    parser.add_argument("--certify-seed", type=int, dest="certify_seed")
     parser.add_argument("--output-dir", dest="output_dir")
 
 
 def _add_modulus_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gamma", type=float, default=0.01)
-    parser.add_argument("--delta", type=float, default=0.02)
-    parser.add_argument("--c-omega", type=float, dest="c_omega", default=1.0)
-    parser.add_argument("--mode", choices=["auto", "exhaustive", "sampled"],
-                        default="auto")
-    parser.add_argument("--samples", type=int, default=2_000_000)
-    parser.add_argument("--seed", type=int, default=0)
+    defaults = ModulusParams()
+    parser.add_argument("--gamma", type=float, default=defaults.gamma)
+    parser.add_argument("--delta", type=float, default=defaults.delta)
+    parser.add_argument("--c-omega", type=float, dest="c_omega", default=defaults.c_omega)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -212,12 +201,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return build_config(args.config, overrides)
 
 
-def _resolve_mode(mode: str, n: int) -> str:
-    if mode == "auto":
-        return "exhaustive" if n <= EXHAUSTIVE_LIMIT else "sampled"
-    return mode
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
@@ -238,13 +221,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     base = Path(cfg.output_dir)
+    amplitudes = sorted(float(tok) for tok in args.A_list.split(",") if tok.strip())
+    names = [f"A_{A:g}" for A in amplitudes]
+    if len(set(names)) < len(names):
+        raise ValueError(f"amplitudes {amplitudes} map to colliding directories {names}")
+    configs = [replace(cfg, A=A, output_dir=str(base / name))
+               for A, name in zip(amplitudes, names)]
     base.mkdir(parents=True, exist_ok=True)
-    amplitudes = [float(tok) for tok in args.A_list.split(",") if tok.strip()]
-    amplitudes.sort()
-
-    configs = [
-        replace(cfg, A=A, output_dir=str(base / f"A_{A:g}")) for A in amplitudes
-    ]
 
     status = 0
     rows = []
@@ -272,9 +255,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         field, _, _ = read_snapshot(args.snapshot)
         params = ModulusParams(gamma=args.gamma, delta=args.delta,
                                c_omega=args.c_omega)
-        cert = minimal_b(field, params,
-                         mode=_resolve_mode(args.mode, field.grid.n),
-                         samples=args.samples, seed=args.seed)
+        cert = minimal_b(field, params)
     except (SnapshotError, ValueError, OSError) as exc:
         print(f"certify failed: {exc}", file=sys.stderr)
         return 2
@@ -292,15 +273,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     try:
-        if args.B < 0:
-            raise ValueError("B must be nonnegative")
         field, _, header_a = read_snapshot(args.snapshot)
         amplitude = header_a if args.A is None else args.A
         params = ModulusParams(gamma=args.gamma, delta=args.delta,
                                c_omega=args.c_omega)
-        report = audit_breakthrough(field, args.B, amplitude, params,
-                                    mode=_resolve_mode(args.mode, field.grid.n),
-                                    samples=args.samples, seed=args.seed)
+        report = audit_breakthrough(field, args.B, amplitude, params)
     except (SnapshotError, ValueError, OSError) as exc:
         print(f"audit failed: {exc}", file=sys.stderr)
         return 2

@@ -7,12 +7,16 @@ Overrides win over the file, which wins over the defaults below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Any
 
 from .integrator import StepControl
 from .modulus import ModulusParams
+
+_MODULUS_DEFAULTS = ModulusParams()
+_FINITE_FIELDS = ("t_end", "A", "sample_every", "init_slope", "init_linf", "init_width")
 
 
 @dataclass(frozen=True)
@@ -28,9 +32,9 @@ class RunConfig:
     cfl_number: float = 0.5
     dt_max: float = 0.01
     # modulus family
-    gamma: float = 0.01
-    delta: float = 0.02
-    c_omega: float = 1.0
+    gamma: float = _MODULUS_DEFAULTS.gamma
+    delta: float = _MODULUS_DEFAULTS.delta
+    c_omega: float = _MODULUS_DEFAULTS.c_omega
     # initial data
     init: str = "random_smooth"
     init_seed: int = 0
@@ -42,12 +46,12 @@ class RunConfig:
     # cadences and output
     sample_every: float = 0.1
     certify_every: int = 0
-    certify_mode: str = "auto"
-    certify_samples: int = 2_000_000
-    certify_seed: int = 0
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        for name in _FINITE_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
         if self.advection_sign not in (1, -1):
@@ -61,6 +65,8 @@ class RunConfig:
             raise ValueError(f"unknown init profile {self.init!r}")
         if self.init == "snapshot" and not self.init_path:
             raise ValueError("init=snapshot requires init_path")
+        self.step_control()
+        self.modulus_params()
 
     def step_control(self) -> StepControl:
         return StepControl(
@@ -72,14 +78,6 @@ class RunConfig:
 
     def modulus_params(self) -> ModulusParams:
         return ModulusParams(gamma=self.gamma, delta=self.delta, c_omega=self.c_omega)
-
-    def resolved_certify_mode(self) -> str:
-        """'auto' picks the exhaustive scan when it is affordable."""
-        if self.certify_mode != "auto":
-            return self.certify_mode
-        from .modulus import EXHAUSTIVE_LIMIT
-
-        return "exhaustive" if self.n <= EXHAUSTIVE_LIMIT else "sampled"
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclass_fields(RunConfig)}

@@ -34,7 +34,7 @@ from .operators import advect, gradient
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     """One sampled row of run diagnostics. ``b_min`` and ``audit`` are only
-    present at the certification cadence (they cost a pair scan)."""
+    present at the certification cadence (they cost a class scan)."""
 
     t: float
     l2: float
@@ -56,9 +56,6 @@ class SampleConfig:
     modulus_params: ModulusParams | None = None
     certify_every: int = 0
     with_audit: bool = False
-    pair_mode: str = "exhaustive"
-    pair_samples: int = 2_000_000
-    pair_seed: int = 0
 
 
 def norms(theta: ScalarField) -> tuple[float, float, float, float]:
@@ -125,25 +122,10 @@ def sample(state: SolverState, cfg: SampleConfig, index: int) -> DiagnosticsReco
         and index % cfg.certify_every == 0
     )
     if certify:
-        cert = minimal_b(
-            state.theta,
-            cfg.modulus_params,
-            mode=cfg.pair_mode,
-            samples=cfg.pair_samples,
-            seed=cfg.pair_seed,
-        )
-        b_min = cert.b_min
+        b_min = minimal_b(state.theta, cfg.modulus_params).b_min
         if cfg.with_audit:
             b_audit = b_min * (1.0 + 1e-3) if math.isfinite(b_min) else 0.0
-            audit = audit_breakthrough(
-                state.theta,
-                b_audit,
-                state.A,
-                cfg.modulus_params,
-                mode=cfg.pair_mode,
-                samples=cfg.pair_samples,
-                seed=cfg.pair_seed,
-            )
+            audit = audit_breakthrough(state.theta, b_audit, state.A, cfg.modulus_params)
     return DiagnosticsRecord(
         t=state.t,
         l2=l2,

@@ -63,12 +63,12 @@ class StepControl:
     def __post_init__(self) -> None:
         if self.mode not in ("fixed", "cfl"):
             raise ValueError(f"mode must be 'fixed' or 'cfl', got {self.mode!r}")
-        if self.dt_fixed <= 0:
-            raise ValueError("dt_fixed must be positive")
+        if not 0 < self.dt_fixed < math.inf:
+            raise ValueError("dt_fixed must be positive and finite")
         if not 0 < self.cfl_number <= 1:
             raise ValueError("cfl_number must lie in (0, 1]")
-        if self.dt_max <= 0:
-            raise ValueError("dt_max must be positive")
+        if not 0 < self.dt_max < math.inf:
+            raise ValueError("dt_max must be positive and finite")
 
 
 def linear_symbol(k: tuple[int, int], A: float) -> complex:

@@ -15,6 +15,21 @@ omega_B when |theta(y) - theta(z)| <= omega_B(d(y, z)) for every pair of
 points, with d the torus metric (wrapped coordinate differences). The
 smallest such B is the certificate this module computes.
 
+One exact algorithm answers every certificate question. Grid-point pairs
+fall into displacement classes h = (di, dj) of wrapped index offsets, all
+pairs of a class sharing the separation |h|, and the class increment
+
+    J(h) = max_x |theta(x + h) - theta(x)|
+
+decides them: theta has omega_B exactly when omega(B|h|) >= J(h) for
+every class, so b_min = max_h omega^{-1}(J(h))/|h|. Classes are scanned
+in blocks, vectorized over classes, in order of increasing |h|. No class
+has J above the oscillation osc = max theta - min theta, so the b_min
+scan stops once |h| >= omega^{-1}(osc)/b_min-so-far, and the least-slack
+scan behind check_modulus and audit_breakthrough stops once
+omega(B|h|) - osc reaches the least slack found. Both stops leave the
+result unchanged; calibrate_c_omega scans every class.
+
 The induced modulus for the Riesz-transform velocity is
 
     Omega(xi) = C * ( int_0^xi omega(eta)/eta deta
@@ -29,21 +44,22 @@ measured/bound ratios rather than asserting them.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 
 from .fields import ScalarField
 from .operators import riesz_transform
 
-# Exhaustive pair scans are O(n^4); above this resolution callers must use
-# seeded sampling.
-EXHAUSTIVE_LIMIT = 96
-
 _CHECK_TOL = 1e-12
-_LOG_XI_MAX = math.log(sys.float_info.max)
+# Newton's method on the inner branch reaches rounding level within eight
+# steps for every admissible delta (<= 0.4). A fixed count keeps each
+# element's result independent of the other elements of an array.
+_NEWTON_STEPS = 12
+# Elements of the (classes, n, n) increment array of one scan block.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -72,8 +88,8 @@ class ModulusParams:
             raise ValueError(
                 "derivative jump violated: need gamma/(4*delta) < 1 - 1.5*sqrt(delta)"
             )
-        if self.c_omega <= 0:
-            raise ValueError("c_omega must be positive")
+        if not 0 < self.c_omega < math.inf:
+            raise ValueError("c_omega must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -153,46 +169,31 @@ def modulus_slope(xi, p: ModulusParams):
     return out if arr.ndim else float(out)
 
 
-def modulus_inverse(v: float, p: ModulusParams) -> float:
-    """Unique xi with omega(xi) = v, by branch-wise bisection to relative
-    tolerance 1e-12.
+def modulus_inverse(v, p: ModulusParams):
+    """Unique xi with omega(xi) = v. Accepts scalars or arrays.
 
-    omega grows doubly logarithmically on the outer branch, so the inverse
-    overflows float64 for moderate v (about 0.069 at the default
-    parameters); +inf is returned in that case.
+    The outer branch inverts in closed form,
+    xi = delta * exp(4 * expm1((v - omega(delta)) / gamma)). omega grows
+    doubly logarithmically there, so the inverse overflows float64 for
+    moderate v (about 0.069 at the default parameters) and +inf is
+    returned. The inner branch xi - xi^{3/2} = v is solved by Newton's
+    method from xi = v: the function is increasing and concave on
+    [0, delta], so the iterates rise monotonically to the root.
     """
-    if v < 0:
+    arr = np.asarray(v, dtype=np.float64)
+    if np.any(arr < 0):
         raise ValueError("modulus values are nonnegative")
-    if v == 0.0:
-        return 0.0
     d, g = p.delta, p.gamma
     at_delta = d - d**1.5
-    if v <= at_delta:
-        lo, hi = 0.0, d
-        while hi - lo > 1e-12 * hi:
-            mid = 0.5 * (lo + hi)
-            if mid - mid**1.5 < v:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    # Outer branch: solve gamma*log1p(s/4) = v - omega(delta) for
-    # s = log(xi/delta).
-    target = (v - at_delta) / g
-    s_cap = _LOG_XI_MAX - math.log(d)  # beyond this xi = delta*e^s overflows
-    if math.log1p(s_cap / 4.0) < target:
-        return math.inf
-    s_hi = 8.0
-    while math.log1p(s_hi / 4.0) < target:
-        s_hi = min(2.0 * s_hi, s_cap)
-    s_lo = 0.0
-    while s_hi - s_lo > 1e-12 * max(1.0, s_hi):
-        mid = 0.5 * (s_lo + s_hi)
-        if math.log1p(mid / 4.0) < target:
-            s_lo = mid
-        else:
-            s_hi = mid
-    return d * math.exp(0.5 * (s_lo + s_hi))
+    with np.errstate(over="ignore"):
+        outer = d * np.exp(4.0 * np.expm1((arr - at_delta) / g))
+    target = np.minimum(arr, at_delta)
+    inner = target
+    for _ in range(_NEWTON_STEPS):
+        sq = np.sqrt(inner)
+        inner = inner - (inner - inner * sq - target) / (1.0 - 1.5 * sq)
+    out = np.where(arr <= at_delta, inner, outer)
+    return out if arr.ndim else float(out)
 
 
 def scaled_modulus(xi, b: float, p: ModulusParams):
@@ -270,174 +271,122 @@ def breakthrough_b(a: float, d_bound: float, p: ModulusParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Pair scans
+# Displacement-class scans
 
 
-class _ExhaustiveScan:
-    """Max increment per wrapped displacement class, computed with rolls.
+def _classes(n: int, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero displacement classes (di, dj) with their torus separations,
+    sorted by separation.
 
-    Classes (di, dj) and (n-di, n-dj) contain the same unordered pairs, so
-    only half the classes are scanned and the table is mirrored.
+    Classes h and -h = (n - di, n - dj) hold the same unordered pairs, so
+    one of each is kept: all dj for 0 < di < n/2, and dj <= n/2 on the
+    rows di = 0 and di = n/2, which are their own mirror images.
     """
-
-    def __init__(self, theta: ScalarField):
-        vals = theta.values
-        n = theta.grid.n
-        dx = theta.grid.dx
-        off = np.minimum(np.arange(n), n - np.arange(n)) * dx
-        xi_table = np.hypot(off[:, None], off[None, :])
-        jump_table = np.zeros((n, n))
-        for di in range(n // 2 + 1):
-            rolled = np.roll(vals, di, axis=0)
-            dj_range = range(n) if 0 < di < n - di else range(n // 2 + 1)
-            for dj in dj_range:
-                if di == 0 and dj == 0:
-                    continue
-                jump = float(np.abs(vals - np.roll(rolled, dj, axis=1)).max())
-                jump_table[di, dj] = jump
-                jump_table[(n - di) % n, (n - dj) % n] = jump
-        self._n = n
-        self._values = vals
-        # Flat views skip the degenerate (0, 0) class at flat index 0.
-        self.xi = xi_table.ravel()[1:]
-        self.jump = jump_table.ravel()[1:]
-
-    def witness(self, idx: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        n = self._n
-        flat = idx + 1
-        di, dj = divmod(flat, n)
-        shifted = np.roll(np.roll(self._values, di, axis=0), dj, axis=1)
-        at = int(np.argmax(np.abs(self._values - shifted)))
-        iy, jy = divmod(at, n)
-        return (iy, jy), ((iy - di) % n, (jy - dj) % n)
+    di, dj = np.meshgrid(np.arange(n // 2 + 1), np.arange(n), indexing="ij")
+    keep = (di % (n // 2) != 0) | (dj <= n // 2)
+    keep[0, 0] = False
+    di, dj = di[keep], dj[keep]
+    off = np.minimum(np.arange(n), n - np.arange(n)) * dx
+    xi = np.hypot(off[di], off[dj])
+    order = np.argsort(xi, kind="stable")
+    return di[order], dj[order], xi[order]
 
 
-class _SampledScan:
-    """Seeded uniform sample of point pairs for grids too large to scan."""
-
-    def __init__(self, theta: ScalarField, samples: int, seed: int):
-        n = theta.grid.n
-        dx = theta.grid.dx
-        rng = np.random.default_rng(seed)
-        y = rng.integers(0, n * n, size=samples)
-        z = rng.integers(0, n * n, size=samples)
-        distinct = y != z
-        y, z = y[distinct], z[distinct]
-        flat = theta.values.ravel()
-        self.jump = np.abs(flat[y] - flat[z])
-        d1 = np.abs(y // n - z // n)
-        d2 = np.abs(y % n - z % n)
-        d1 = np.minimum(d1, n - d1) * dx
-        d2 = np.minimum(d2, n - d2) * dx
-        self.xi = np.hypot(d1, d2)
-        self._y = y
-        self._z = z
-        self._n = n
-
-    def witness(self, idx: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        n = self._n
-        return tuple(divmod(int(self._y[idx]), n)), tuple(divmod(int(self._z[idx]), n))
+def _class_blocks(theta: ScalarField):
+    """Yield (di, dj, xi, jump) arrays block by block, in order of
+    increasing separation xi, with jump the class increment
+    J(h) = max_x |theta(x + h) - theta(x)|."""
+    vals = theta.values
+    n = theta.grid.n
+    di, dj, xi = _classes(n, theta.grid.dx)
+    # windows[r, s, j] = vals[r, (s + j) % n], a view of the doubled rows.
+    windows = sliding_window_view(np.concatenate([vals, vals], axis=1), n, axis=1)
+    rows = np.arange(n)
+    size = max(1, _BLOCK_ELEMENTS // (n * n))
+    for start in range(0, xi.size, size):
+        blk = slice(start, start + size)
+        # shifted[c, i, j] = vals[i - di[c], j - dj[c]] (indices mod n)
+        shifted = windows[(rows - di[blk, None]) % n, ((n - dj[blk]) % n)[:, None]]
+        np.subtract(shifted, vals, out=shifted)
+        np.abs(shifted, out=shifted)
+        yield di[blk], dj[blk], xi[blk], shifted.reshape(shifted.shape[0], -1).max(axis=1)
 
 
-def _pair_scan(theta: ScalarField, mode: str, samples: int, seed: int):
-    if mode == "exhaustive":
-        if theta.grid.n > EXHAUSTIVE_LIMIT:
-            raise ValueError(
-                f"exhaustive pair scan refused for n > {EXHAUSTIVE_LIMIT} "
-                "(O(n^4) cost); use mode='sampled'"
-            )
-        return _ExhaustiveScan(theta)
-    if mode == "sampled":
-        if samples < 1:
-            raise ValueError("sample count must be positive")
-        return _SampledScan(theta, samples, seed)
-    raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+def _witness(theta: ScalarField, di: int, dj: int, xi: float, b: float,
+             p: ModulusParams) -> PairWitness:
+    """The pair of class (di, dj) with the largest increment, and its
+    slack under omega_B."""
+    vals = theta.values
+    n = theta.grid.n
+    jumps = np.abs(vals - np.roll(vals, (di, dj), axis=(0, 1)))
+    iy, jy = np.unravel_index(int(np.argmax(jumps)), jumps.shape)
+    jump = float(jumps[iy, jy])
+    return PairWitness(y=(int(iy), int(jy)), z=(int((iy - di) % n), int((jy - dj) % n)),
+                       xi=float(xi), jump=jump,
+                       slack=float(scaled_modulus(xi, b, p)) - jump)
 
 
-def _worst_pair(scan, b: float, p: ModulusParams) -> PairWitness:
-    slack = scaled_modulus(scan.xi, b, p) - scan.jump
-    idx = int(np.argmin(slack))
-    y, z = scan.witness(idx)
-    return PairWitness(y=y, z=z, xi=float(scan.xi[idx]),
-                       jump=float(scan.jump[idx]), slack=float(slack[idx]))
+def _worst_pair(theta: ScalarField, b: float, p: ModulusParams) -> PairWitness:
+    """Pair with the least slack omega_B(xi) - jump over all classes.
+
+    omega_B(|h|) - osc bounds the slack of class h from below and grows
+    with |h|, so the scan stops once it reaches the least slack found.
+    """
+    if not 0.0 <= b < math.inf:
+        raise ValueError("modulus scaling must be finite and nonnegative")
+    osc = float(theta.values.max() - theta.values.min())
+    least = math.inf
+    for di, dj, xi, jump in _class_blocks(theta):
+        if scaled_modulus(xi[0], b, p) - osc >= least:
+            break
+        slack = scaled_modulus(xi, b, p) - jump
+        k = int(np.argmin(slack))
+        if slack[k] < least:
+            least, worst = float(slack[k]), (int(di[k]), int(dj[k]), float(xi[k]))
+    return _witness(theta, *worst, b, p)
 
 
-def check_modulus(
-    theta: ScalarField,
-    b: float,
-    p: ModulusParams,
-    *,
-    mode: str = "exhaustive",
-    samples: int = 2_000_000,
-    seed: int = 0,
-) -> tuple[bool, PairWitness]:
+def check_modulus(theta: ScalarField, b: float, p: ModulusParams) -> tuple[bool, PairWitness]:
     """Does theta have the modulus omega_B?
 
-    Scans all unordered grid-point pairs (or a seeded sample) under the
-    torus metric and reports the pair with the least slack. Passing is
-    monotone in b because omega is increasing.
+    Finds the grid-point pair with the least slack under the torus metric,
+    exactly (see :func:`_worst_pair`), and passes when that slack is at
+    least -1e-12. Passing is monotone in b because omega is increasing.
     """
-    if b < 0:
-        raise ValueError("modulus scaling must be nonnegative")
-    scan = _pair_scan(theta, mode, samples, seed)
-    worst = _worst_pair(scan, b, p)
+    worst = _worst_pair(theta, b, p)
     return worst.slack >= -_CHECK_TOL, worst
 
 
-def minimal_b(
-    theta: ScalarField,
-    p: ModulusParams,
-    *,
-    mode: str = "exhaustive",
-    samples: int = 2_000_000,
-    seed: int = 0,
-    rel_tol: float = 1e-6,
-) -> ModulusCertificate:
-    """Smallest scaling for which theta has omega_B, by bisection.
+def minimal_b(theta: ScalarField, p: ModulusParams) -> ModulusCertificate:
+    """Smallest scaling for which theta has omega_B on the grid,
+    b_min = max_h omega^{-1}(J(h))/|h| over displacement classes h.
 
-    The upper bracket is doubled from 1 until the check passes; the
-    returned value is the passing end of a bracket of relative width
-    ``rel_tol``. Constant fields certify at b_min = 0. Returns b_min =
-    +inf when no representable scaling passes (oscillation beyond the
-    float64 range of omega, about 0.069 at default parameters).
+    Every class has J(h) <= osc, the oscillation of theta, so the scan
+    stops once |h| * b >= omega^{-1}(osc) for the largest ratio b found.
+    Constant fields certify at b_min = 0. Returns b_min = +inf, with slack
+    -inf, when no representable scaling passes: omega^{-1}(J(h))
+    overflows float64 (J about 0.069 at default parameters).
     """
-    scan = _pair_scan(theta, mode, samples, seed)
-
-    def passes(b: float) -> bool:
-        slack = scaled_modulus(scan.xi, b, p) - scan.jump
-        return bool(slack.min() >= -_CHECK_TOL)
-
-    if float(scan.jump.max()) <= _CHECK_TOL:
+    vals = theta.values
+    osc = float(vals.max() - vals.min())
+    if osc <= _CHECK_TOL:
         return ModulusCertificate(b_min=0.0, witness=None, slack=0.0)
-
-    hi = 1.0
-    while not passes(hi):
-        hi *= 2.0
-        if hi > 1e280:
-            return ModulusCertificate(b_min=math.inf,
-                                      witness=_worst_pair(scan, hi, p),
-                                      slack=-math.inf)
-    lo = 0.5 * hi if hi > 1.0 else 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    worst = _worst_pair(scan, hi, p)
-    return ModulusCertificate(b_min=hi, witness=worst, slack=worst.slack)
+    reach = modulus_inverse(osc, p)
+    best = 0.0
+    for di, dj, xi, jump in _class_blocks(theta):
+        if xi[0] * best >= reach:
+            break
+        ratio = modulus_inverse(jump, p) / xi
+        k = int(np.argmax(ratio))
+        if ratio[k] > best:
+            best, arg = float(ratio[k]), (int(di[k]), int(dj[k]), float(xi[k]))
+    worst = _witness(theta, *arg, best, p)
+    if math.isinf(best):
+        worst = replace(worst, slack=-math.inf)
+    return ModulusCertificate(b_min=best, witness=worst, slack=worst.slack)
 
 
-def audit_breakthrough(
-    theta: ScalarField,
-    b: float,
-    a: float,
-    p: ModulusParams,
-    *,
-    mode: str = "exhaustive",
-    samples: int = 2_000_000,
-    seed: int = 0,
-) -> AuditReport:
+def audit_breakthrough(theta: ScalarField, b: float, a: float, p: ModulusParams) -> AuditReport:
     """Measure the breakthrough-scenario quantities at the tightest pair.
 
     This is a report, not an assertion: c_omega is calibrated, so the
@@ -446,10 +395,7 @@ def audit_breakthrough(
     structure or singular-integral representations and are not measured
     here.
     """
-    if b < 0:
-        raise ValueError("modulus scaling must be nonnegative")
-    scan = _pair_scan(theta, mode, samples, seed)
-    worst = _worst_pair(scan, b, p)
+    worst = _worst_pair(theta, b, p)
     xi = worst.xi
 
     omega_at = scaled_modulus(xi, b, p)
@@ -475,36 +421,25 @@ def audit_breakthrough(
     )
 
 
-def calibrate_c_omega(
-    thetas,
-    p: ModulusParams,
-    *,
-    b_margin: float = 1e-3,
-    mode: str = "exhaustive",
-    samples: int = 2_000_000,
-    seed: int = 0,
-) -> float:
+def calibrate_c_omega(thetas, p: ModulusParams, *, b_margin: float = 1e-3) -> float:
     """Smallest constant making the velocity-modulus bound hold on a corpus.
 
     For each field the certificate b_min is computed, the velocity
-    component u2 = R_1(theta) is scanned over all pairs, and the largest
-    ratio of velocity increment to Omega_B(xi) with c_omega = 1 is
-    recorded. The returned maximum is the corpus-calibrated c_omega;
-    audits of comparable fields should then report disp_ratio <= 1 up to
-    sampling fluctuation.
+    component u2 = R_1(theta) is scanned over every displacement class,
+    and the largest ratio of velocity increment to Omega_B(xi) with
+    c_omega = 1 is recorded. The returned maximum is the corpus-calibrated
+    c_omega; audits of comparable fields should then report
+    disp_ratio <= 1 up to sampling fluctuation.
     """
     reference = replace(p, c_omega=1.0)
     worst = 0.0
     for theta in thetas:
-        cert = minimal_b(theta, reference, mode=mode, samples=samples, seed=seed)
+        cert = minimal_b(theta, reference)
         if cert.b_min == 0.0 or math.isinf(cert.b_min):
             continue
         b = cert.b_min * (1.0 + b_margin)
-        u2 = riesz_transform(theta, 1)
-        scan = _pair_scan(u2, mode, samples, seed)
-        targets = b * scan.xi
-        unique, inverse = np.unique(targets, return_inverse=True)
+        _, _, xi, jump = map(np.concatenate, zip(*_class_blocks(riesz_transform(theta, 1))))
+        unique, inverse = np.unique(b * xi, return_inverse=True)
         bounds = np.array([velocity_modulus(t, reference) for t in unique])[inverse]
-        ratio = float((scan.jump / bounds).max())
-        worst = max(worst, ratio)
+        worst = max(worst, float((jump / bounds).max()))
     return worst

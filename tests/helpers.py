@@ -1,8 +1,9 @@
 """Shared test oracles, deliberately independent of the library's
 computational paths: the advection oracle convolves coefficients with
-explicit loops instead of FFT products, and the velocity-modulus oracle is
+explicit loops instead of FFT products, the velocity-modulus oracle is
 a fixed-step Simpson rule with an analytic tail bracket instead of
-adaptive quadrature."""
+adaptive quadrature, and the class-table oracle rolls the field through
+every displacement class and inverts omega by its own bisection."""
 
 from __future__ import annotations
 
@@ -157,3 +158,49 @@ def minimal_b_per_pair_oracle(theta: ScalarField, p: ModulusParams) -> float:
         hi = np.where(passes, mid, hi)
         lo = np.where(passes, lo, mid)
     return float((0.5 * (lo + hi)).max())
+
+
+def omega_oracle(xi, p: ModulusParams) -> np.ndarray:
+    """omega from its definition, written apart from sqgd.modulus."""
+    xi = np.asarray(xi, dtype=np.float64)
+    d, g = p.delta, p.gamma
+    outer = d - d * np.sqrt(d) + g * np.log(1.0 + np.log(np.maximum(xi, d) / d) / 4.0)
+    return np.where(xi <= d, xi - xi * np.sqrt(xi), outer)
+
+
+def omega_inverse_oracle(v, p: ModulusParams) -> np.ndarray:
+    """Vectorized bisection for omega(xi) = v. omega(xi) <= xi gives the
+    lower end xi >= v; the upper end is doubled until omega reaches v."""
+    v = np.asarray(v, dtype=np.float64)
+    lo = v.copy()
+    hi = 2.0 * v
+    for _ in range(1100):
+        short = omega_oracle(hi, p) < v
+        if not short.any():
+            break
+        lo = np.where(short, hi, lo)
+        hi = np.where(short, 2.0 * hi, hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = omega_oracle(mid, p) < v
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return hi
+
+
+def class_table_oracle(theta: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """(separation, increment) of every nonzero displacement class (di, dj)
+    of the grid, all n^2 - 1 of them, with the increment
+    max |theta - roll(theta, (di, dj))| taken by explicit np.roll."""
+    n = theta.grid.n
+    dx = theta.grid.dx
+    vals = theta.values
+    seps, jumps = [], []
+    for di in range(n):
+        rolled = np.roll(vals, di, axis=0)
+        for dj in range(n):
+            if di == 0 and dj == 0:
+                continue
+            jumps.append(float(np.abs(vals - np.roll(rolled, dj, axis=1)).max()))
+            seps.append(dx * np.hypot(min(di, n - di), min(dj, n - dj)))
+    return np.array(seps), np.array(jumps)

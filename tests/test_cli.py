@@ -114,6 +114,14 @@ class TestCmdRun:
         code = main(run_args(tmp_path / "o", n=16, t_end=0.2, init="nonsense"))
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("t_end", "nan"), ("sample_every", "nan"), ("dt_max", "nan"), ("A", "inf"),
+    ])
+    def test_nonfinite_value_exits_2(self, tmp_path, flag, value):
+        kwargs = dict(n=16, t_end=0.2, init="single_mode")
+        kwargs[flag] = value
+        assert main(run_args(tmp_path / "o", **kwargs)) == 2
+
     def test_snapshot_init_round_trip(self, tmp_path):
         g = Grid(16)
         rng = np.random.default_rng(0)
@@ -191,6 +199,22 @@ class TestCmdSweep:
         assert amplitudes == sorted(amplitudes) == [0.0, 1.0, 2.0]
         for row in rows:
             assert row[1] != "" and row[3] != ""
+
+    def test_failing_member_keeps_summary(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SQGD_THREADS", "2")
+        # init_kmax 9 exceeds n/3 for n = 16, so each member raises ValueError
+        code = main(["sweep", "--A-list", "0,1", "--output-dir", str(tmp_path / "s"),
+                     "--n", "16", "--t-end", "0.1", "--init-kmax", "9"])
+        assert code == 2
+        _, rows = read_csv(tmp_path / "s" / "summary.csv")
+        assert [row[0] for row in rows] == ["0", "1"]
+
+    @pytest.mark.parametrize("a_list", ["1.0000001,1.0000002", "2,2"])
+    def test_colliding_directories_exit_2(self, tmp_path, a_list):
+        code = main(["sweep", "--A-list", a_list, "--output-dir", str(tmp_path / "s"),
+                     "--n", "16", "--t-end", "0.1", "--init", "single_mode"])
+        assert code == 2
+        assert not (tmp_path / "s").exists()
 
 
 class TestCmdCertify:

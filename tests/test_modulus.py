@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from sqgd import (
@@ -26,9 +27,16 @@ from sqgd import (
 )
 from sqgd.initial import random_smooth
 
-from helpers import minimal_b_per_pair_oracle, velocity_modulus_oracle
+from helpers import (
+    class_table_oracle,
+    minimal_b_per_pair_oracle,
+    omega_inverse_oracle,
+    omega_oracle,
+    velocity_modulus_oracle,
+)
 
 P = ModulusParams()  # gamma=0.01, delta=0.02, c_omega=1
+AT_DELTA = P.delta - P.delta**1.5  # omega(delta), where the branches meet
 
 
 class TestParams:
@@ -138,6 +146,24 @@ class TestModulusInverse:
         with pytest.raises(ValueError):
             modulus_inverse(-1e-3, P)
 
+    def test_array_matches_scalar(self):
+        vs = np.linspace(0.0, 0.06, 97)
+        assert np.array_equal(modulus_inverse(vs, P),
+                              [modulus_inverse(float(v), P) for v in vs])
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0.0, AT_DELTA),              # inner branch
+        (AT_DELTA, 0.065),            # outer branch, inverse below float64 max
+    ])
+    @given(data=st.data())
+    def test_round_trip_and_monotone(self, lo, hi, data):
+        values = st.floats(min_value=lo, max_value=hi)
+        v1, v2 = sorted([data.draw(values), data.draw(values)])
+        x1, x2 = modulus_inverse(v1, P), modulus_inverse(v2, P)
+        assert math.isfinite(x2)
+        assert x1 <= x2
+        assert modulus(x1, P) == pytest.approx(v1, rel=1e-14, abs=0.0)
+
 
 class TestScaledModulus:
     def test_scale_one_is_identity(self):
@@ -237,35 +263,49 @@ class TestCheckModulus:
         assert worst.slack == pytest.approx(
             scaled_modulus(worst.xi, 0.5, P) - worst.jump, abs=1e-15)
 
-    def test_exhaustive_refused_above_limit(self):
-        g = Grid(128)
-        theta = random_smooth(g, seed=0, k_max=8, target_linf=0.01)
-        with pytest.raises(ValueError, match="sampled"):
-            check_modulus(theta, 1.0, P, mode="exhaustive")
-
-    def test_sampled_mode_agrees_on_small_grid(self):
-        g = Grid(24)
-        theta = random_smooth(g, seed=3, k_max=6, target_linf=0.01)
-        ok_full, worst_full = check_modulus(theta, 0.05, P)
-        ok_sub, worst_sub = check_modulus(theta, 0.05, P, mode="sampled",
-                                          samples=200_000, seed=1)
-        # a sampled scan sees a subset of pairs, so its slack cannot be smaller
-        assert worst_sub.slack >= worst_full.slack - 1e-15
-        if not ok_full:
-            assert worst_full.slack < worst_sub.slack + 1e-12
-
-    def test_sampled_deterministic(self):
-        g = Grid(24)
-        theta = random_smooth(g, seed=4, k_max=6, target_linf=0.01)
-        r1 = check_modulus(theta, 0.05, P, mode="sampled", samples=50_000, seed=9)
-        r2 = check_modulus(theta, 0.05, P, mode="sampled", samples=50_000, seed=9)
-        assert r1 == r2
-
     def test_negative_scale_rejected(self):
         g = Grid(16)
         theta = ScalarField(g, np.zeros((16, 16)))
         with pytest.raises(ValueError):
             check_modulus(theta, -1.0, P)
+
+    @pytest.mark.parametrize("b", [math.inf, math.nan])
+    def test_nonfinite_scale_rejected(self, b):
+        g = Grid(16)
+        theta = ScalarField(g, np.zeros((16, 16)))
+        with pytest.raises(ValueError):
+            check_modulus(theta, b, P)
+
+
+class TestExactCertificate:
+    """The pruned class scan against the class-table oracle, which rolls
+    the field through all n^2 classes and inverts omega by bisection."""
+
+    @pytest.mark.parametrize("n", [96, 128])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_minimal_b_equals_class_table(self, n, seed):
+        theta = random_smooth(Grid(n), seed=seed, k_max=8, target_linf=0.012)
+        sep, jump = class_table_oracle(theta)
+        assert jump.max() > AT_DELTA  # the distant classes invert on the outer branch
+        expected = float((omega_inverse_oracle(jump, P) / sep).max())
+        assert minimal_b(theta, P).b_min == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [96, 128])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_check_passes_at_b_min_only(self, n, seed):
+        theta = random_smooth(Grid(n), seed=seed, k_max=8, target_linf=0.012)
+        cert = minimal_b(theta, P)
+        assert check_modulus(theta, cert.b_min, P)[0]
+        assert not check_modulus(theta, cert.b_min * (1 - 1e-9), P)[0]
+
+    @pytest.mark.parametrize("factor", [0.5, 1.001])
+    def test_audit_worst_slack_equals_class_table(self, factor):
+        theta = random_smooth(Grid(96), seed=3, k_max=8, target_linf=0.012)
+        b = minimal_b(theta, P).b_min * factor
+        sep, jump = class_table_oracle(theta)
+        expected = float((omega_oracle(b * sep, P) - jump).min())
+        rep = audit_breakthrough(theta, b, 2.0, P)
+        assert -rep.lhs_breakthrough == pytest.approx(expected, rel=1e-12, abs=1e-16)
 
 
 class TestMinimalB:
