@@ -14,7 +14,7 @@ from .diagnostics import (
     norms,
     sample,
 )
-from .fields import ScalarField, VectorField
+from .fields import ScalarField
 from .grid import TWO_PI, Grid
 from .initial import gaussian_bump, random_smooth, single_mode, two_mode
 from .integrator import (
@@ -22,9 +22,7 @@ from .integrator import (
     SolverState,
     StepControl,
     cfl_dt,
-    linear_symbol,
     linear_symbol_grid,
-    nonlinear_rhs,
     phi1,
     phi2,
     run,

@@ -29,7 +29,7 @@ from .grid import Grid
 from .initial import gaussian_bump, random_smooth, single_mode, two_mode
 from .integrator import BlowUpError, SolverState, run
 from .modulus import ModulusParams, audit_breakthrough, minimal_b
-from .snapshot import SnapshotError, read_snapshot, write_snapshot
+from .snapshot import SnapshotError, read_snapshot, write_atomic, write_snapshot
 
 CSV_HEADER = "t,l2,linf,max_grad,mean,nonlinear_flux,dispersive_flux,dissipation,b_min"
 
@@ -54,11 +54,12 @@ def _record_row(rec: DiagnosticsRecord) -> str:
     return ",".join(cells)
 
 
+def _csv_bytes(lines: list[str]) -> bytes:
+    return "".join(line + "\n" for line in lines).encode()
+
+
 def write_diagnostics_csv(path: Path, records: list[DiagnosticsRecord]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(_record_row(rec) + "\n")
+    write_atomic(path, _csv_bytes([CSV_HEADER] + [_record_row(rec) for rec in records]))
 
 
 def make_initial(cfg: RunConfig, grid: Grid) -> ScalarField:
@@ -116,7 +117,7 @@ def _sweep_worker(cfg: RunConfig) -> tuple[float, str, str, str, int]:
     """Run one sweep member; returns a summary row plus an exit status."""
     try:
         records = execute_run(cfg)
-    except (BlowUpError, L2ViolationError, ValueError) as exc:
+    except (BlowUpError, L2ViolationError, ValueError, OSError) as exc:
         code = (1 if isinstance(exc, BlowUpError)
                 else 3 if isinstance(exc, L2ViolationError) else 2)
         print(f"sweep member A={cfg.A:g} failed: {exc}", file=sys.stderr)
@@ -243,10 +244,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append(f"{_fmt(A)},{max_linf},{max_bmin},{final_l2}")
             status = max(status, code)
 
-    with open(base / "summary.csv", "w", newline="\n") as fh:
-        fh.write("A,max_linf,max_bmin,final_l2\n")
-        for row in rows:
-            fh.write(row + "\n")
+    write_atomic(base / "summary.csv", _csv_bytes(["A,max_linf,max_bmin,final_l2"] + rows))
     return status
 
 
@@ -301,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "certify":
             return cmd_certify(args)
         return cmd_audit(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,15 +5,18 @@ The energy budget splits d/dt (1/2 ||theta||^2) into its three parts:
 
 - nonlinear flux   integral(theta * u.grad(theta)) dx, zero for
   incompressible u (measured, not assumed);
-- dispersive flux  A * sum_{k != 0} (k1/|k|) |theta_hat(k)|^2, zero by
-  conjugate symmetry of real fields (the multiplier is odd in k);
+- dispersive flux  A * integral(theta * R_1 theta) dx, zero because R_1
+  is skew-adjoint (measured, not assumed);
 - dissipation      -sum_k |k| |theta_hat(k)|^2 = -||Lambda^{1/2} theta||^2,
   always nonpositive.
 
-Spectral sums use series normalization: with c(k) the unnormalized DFT,
-||theta||^2 = (2*pi)^2 sum |c(k)/n^2|^2. The dissipation sum applies the
-same Nyquist-zeroed |k| multiplier as the dynamics, which is identical for
-any field without Nyquist content and keeps the discrete budget
+Both fluxes are physical inner products by the rectangle rule. The
+dissipation is a spectral sum with series normalization: with c(k) the
+unnormalized DFT, ||theta||^2 = (2*pi)^2 sum |c(k)/n^2|^2. It runs over
+the rfft2 half-spectrum, where each interior column k2 in (0, n/2) stands
+for both k and -k and so counts twice. The sum applies the same
+Nyquist-zeroed |k| multiplier as the dynamics, which is identical for any
+field without Nyquist content and keeps the discrete budget
 self-consistent.
 """
 
@@ -27,14 +30,14 @@ import numpy as np
 from .fields import ScalarField
 from .grid import TWO_PI
 from .integrator import SolverState
-from .modulus import AuditReport, ModulusParams, audit_breakthrough, minimal_b
-from .operators import advect, gradient
+from .modulus import ModulusParams, minimal_b
+from .operators import advect, gradient, riesz_transform
 
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """One sampled row of run diagnostics. ``b_min`` and ``audit`` are only
-    present at the certification cadence (they cost a class scan)."""
+    """One sampled row of run diagnostics. ``b_min`` is only present at
+    the certification cadence (it costs a class scan)."""
 
     t: float
     l2: float
@@ -45,7 +48,6 @@ class DiagnosticsRecord:
     dispersive_flux: float
     dissipation: float
     b_min: float | None = None
-    audit: AuditReport | None = None
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,6 @@ class SampleConfig:
 
     modulus_params: ModulusParams | None = None
     certify_every: int = 0
-    with_audit: bool = False
 
 
 def norms(theta: ScalarField) -> tuple[float, float, float, float]:
@@ -68,8 +69,8 @@ def norms(theta: ScalarField) -> tuple[float, float, float, float]:
     vals = theta.values
     l2 = math.sqrt(float((vals * vals).sum()) * theta.grid.cell_area)
     linf = float(np.abs(vals).max())
-    grad = gradient(theta)
-    max_grad = float(np.hypot(grad.u1.values, grad.u2.values).max())
+    d1, d2 = gradient(theta)
+    max_grad = float(np.hypot(d1.values, d2.values).max())
     mean = float(vals.mean())
     return l2, linf, max_grad, mean
 
@@ -81,12 +82,13 @@ def energy_budget(theta: ScalarField, A: float) -> tuple[float, float, float]:
     values quantify discretization and rounding residue.
     """
     g = theta.grid
-    nonlinear = float((theta.values * advect(theta).values).sum()) * g.cell_area
+    vals = theta.values
+    nonlinear = float((vals * advect(theta).values).sum()) * g.cell_area
+    dispersive = A * float((vals * riesz_transform(theta, 1).values).sum()) * g.cell_area
 
-    weight = TWO_PI**2 / g.n**4
     power = np.abs(theta.hat) ** 2
-    dispersive = A * weight * float((g.k1_over_k * power).sum())
-    dissipation = -weight * float((g.lam * power).sum())
+    power[:, 1:-1] *= 2.0  # interior columns k2 stand for k2 and -k2
+    dissipation = -TWO_PI**2 / g.n**4 * float((g.lam * power).sum())
     return nonlinear, dispersive, dissipation
 
 
@@ -108,14 +110,12 @@ def chebyshev_check(theta: ScalarField, M: float, l2_initial: float) -> tuple[fl
 def sample(state: SolverState, cfg: SampleConfig, index: int) -> DiagnosticsRecord:
     """Assemble a record for the given sample index.
 
-    Certification (and optionally an audit at b = b_min*(1 + 1e-3), just
-    above the certificate boundary so the witness is near-saturating) runs
-    only when ``index`` is a multiple of ``certify_every``.
+    Certification runs only when ``index`` is a multiple of
+    ``certify_every``.
     """
     l2, linf, max_grad, mean = norms(state.theta)
     nonlinear, dispersive, dissipation = energy_budget(state.theta, state.A)
     b_min = None
-    audit = None
     certify = (
         cfg.modulus_params is not None
         and cfg.certify_every > 0
@@ -123,9 +123,6 @@ def sample(state: SolverState, cfg: SampleConfig, index: int) -> DiagnosticsReco
     )
     if certify:
         b_min = minimal_b(state.theta, cfg.modulus_params).b_min
-        if cfg.with_audit:
-            b_audit = b_min * (1.0 + 1e-3) if math.isfinite(b_min) else 0.0
-            audit = audit_breakthrough(state.theta, b_audit, state.A, cfg.modulus_params)
     return DiagnosticsRecord(
         t=state.t,
         l2=l2,
@@ -136,5 +133,4 @@ def sample(state: SolverState, cfg: SampleConfig, index: int) -> DiagnosticsReco
         dispersive_flux=dispersive,
         dissipation=dissipation,
         b_min=b_min,
-        audit=audit,
     )

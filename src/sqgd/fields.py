@@ -1,15 +1,14 @@
-"""Scalar and vector fields on the torus grid.
+"""Real scalar fields on the torus grid.
 
-A :class:`ScalarField` holds real point values and lazily caches the full
-2d discrete Fourier transform (numpy ``fft2`` convention, unnormalized).
-Fields are treated as immutable after construction, which makes them safe
-to share between threads; none of the operators in this package mutate
-their inputs.
+A :class:`ScalarField` holds one real field as point values, as its
+``rfft2`` half-spectrum (numpy convention, unnormalized), or both; each is
+computed from the other when first read, and the inverse transform is real
+by construction. Fields are treated as immutable after construction (a
+missing representation filled by two threads is filled identically); none
+of the operators in this package mutate their inputs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,44 +18,50 @@ from .grid import Grid
 class ScalarField:
     """Real scalar field sampled on a :class:`Grid`.
 
-    ``values[i, j]`` is the sample at x = (i*dx, j*dx). The spectral cache
-    ``hat`` satisfies ``values == ifft2(hat).real`` to rounding and obeys
-    conjugate symmetry because all constructors preserve realness.
+    ``values[i, j]`` is the sample at x = (i*dx, j*dx) and ``hat`` is
+    ``rfft2(values)``; either may be the one given at construction.
     """
 
-    __slots__ = ("grid", "values", "_hat")
+    __slots__ = ("grid", "_values", "_hat")
 
-    def __init__(self, grid: Grid, values: np.ndarray, _hat: np.ndarray | None = None):
+    def __init__(self, grid: Grid, values: np.ndarray):
         vals = np.asarray(values, dtype=np.float64)
         if vals.shape != (grid.n, grid.n):
             raise ValueError(f"values must have shape {(grid.n, grid.n)}, got {vals.shape}")
         if not np.isfinite(vals).all():
             raise ValueError("field values must be finite")
         self.grid = grid
-        self.values = vals
-        self._hat = _hat
-
-    @property
-    def hat(self) -> np.ndarray:
-        """Unnormalized DFT coefficients c(k) = sum_x values(x) e^{-i k.x}."""
-        if self._hat is None:
-            self._hat = np.fft.fft2(self.values)
-        return self._hat
+        self._values = vals
+        self._hat = None
 
     @classmethod
     def from_hat(cls, grid: Grid, hat: np.ndarray) -> "ScalarField":
-        """Build a field from conjugate-symmetric DFT coefficients.
+        """Build a field from its ``rfft2`` half-spectrum, shape (n, n//2 + 1).
 
-        The imaginary part of the inverse transform (rounding noise for a
-        symmetric ``hat``) is discarded.
+        The point values are computed when first read.
         """
         hat = np.asarray(hat, dtype=np.complex128)
-        values = np.fft.ifft2(hat).real
+        if hat.shape != (grid.n, grid.n // 2 + 1):
+            raise ValueError(f"hat must have shape {(grid.n, grid.n // 2 + 1)}, got {hat.shape}")
         field = cls.__new__(cls)
         field.grid = grid
-        field.values = values
+        field._values = None
         field._hat = hat
         return field
+
+    @property
+    def values(self) -> np.ndarray:
+        """Point values, shape (n, n)."""
+        if self._values is None:
+            self._values = np.fft.irfft2(self._hat, s=(self.grid.n, self.grid.n))
+        return self._values
+
+    @property
+    def hat(self) -> np.ndarray:
+        """Unnormalized half-spectrum c(k) = sum_x values(x) e^{-i k.x}, k2 >= 0."""
+        if self._hat is None:
+            self._hat = np.fft.rfft2(self._values)
+        return self._hat
 
     def mean(self) -> float:
         return float(self.values.mean())
@@ -66,23 +71,3 @@ class ScalarField:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ScalarField(n={self.grid.n}, linf={self.linf():.3g})"
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Pair of scalar components on a shared grid."""
-
-    u1: ScalarField
-    u2: ScalarField
-
-    def __post_init__(self) -> None:
-        if self.u1.grid is not self.u2.grid and self.u1.grid != self.u2.grid:
-            raise ValueError("vector components must share a grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.u1.grid
-
-    def max_speed(self) -> float:
-        """max(max|u1|, max|u2|), the advective speed used for CFL control."""
-        return max(self.u1.linf(), self.u2.linf())

@@ -2,8 +2,8 @@
 
 The period is fixed at 2*pi, so wavenumbers are integers and the discrete
 Fourier transform indices coincide with physical wavevectors. All spectral
-multiplier arrays used elsewhere in the package are precomputed here once
-per resolution.
+multipliers are precomputed here once per resolution, on the ``rfft2``
+half grid (k1 in ``fftfreq`` order by k2 = 0..n/2) that fields use.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ class Grid:
     - ``dx``            grid spacing 2*pi/n
     - ``x``             1d coordinates, shape (n,)
     - ``x1``, ``x2``    coordinate meshes, first/second axis
-    - ``k``             1d integer wavenumbers in FFT order
     - ``ik1``, ``ik2``  spectral derivative multipliers i*k_j
     - ``k1_over_k``, ``k2_over_k``  real Riesz-transform ratios k_j/|k|
     - ``lam``           half-Laplacian multiplier |k|
     - ``dealias_mask``  True where max(|k1|, |k2|) <= n/3
+    - ``adv``           stacked velocity (-i*k2/|k|, i*k1/|k|) and gradient
+      (i*k1, i*k2) multipliers of the advection term, dealias mask folded in
 
     The Nyquist row and column (|k_j| = n/2) are zeroed in every multiplier
     so that odd symbols cannot break conjugate symmetry of real fields, and
@@ -52,29 +53,29 @@ class Grid:
 
         dx = TWO_PI / n
         x = np.arange(n) * dx
-        k = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
-        k1 = k[:, None]
-        k2 = k[None, :]
+        k1 = np.fft.fftfreq(n, d=1.0 / n)[:, None]  # 0, 1, ..., n/2-1, -n/2, ..., -1
+        k2 = np.fft.rfftfreq(n, d=1.0 / n)[None, :]  # 0, 1, ..., n/2
         k_mag = np.hypot(k1, k2)
 
-        keep = (np.abs(k1) != n // 2) & (np.abs(k2) != n // 2)
+        keep = (np.abs(k1) != n // 2) & (k2 != n // 2)
+        mask = (np.abs(k1) <= n / 3) & (k2 <= n / 3)
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = np.where(k_mag > 0, k1 / k_mag, 0.0)
-            r2 = np.where(k_mag > 0, k2 / k_mag, 0.0)
+            r1 = np.where(k_mag > 0, k1 / k_mag, 0.0) * keep
+            r2 = np.where(k_mag > 0, k2 / k_mag, 0.0) * keep
 
         set_ = object.__setattr__
         set_(self, "dx", dx)
         set_(self, "x", x)
         set_(self, "x1", np.broadcast_to(x[:, None], (n, n)).copy())
         set_(self, "x2", np.broadcast_to(x[None, :], (n, n)).copy())
-        set_(self, "k", k)
         set_(self, "ik1", 1j * k1 * keep)
         set_(self, "ik2", 1j * k2 * keep)
-        set_(self, "k1_over_k", r1 * keep)
-        set_(self, "k2_over_k", r2 * keep)
+        set_(self, "k1_over_k", r1)
+        set_(self, "k2_over_k", r2)
         set_(self, "lam", k_mag * keep)
-        set_(self, "dealias_mask", (np.abs(k1) <= n / 3) & (np.abs(k2) <= n / 3))
+        set_(self, "dealias_mask", mask)
+        set_(self, "adv", np.stack([-1j * r2, 1j * r1, self.ik1, self.ik2]) * mask)
 
     @property
     def cell_area(self) -> float:

@@ -35,7 +35,7 @@ def random_smooth(
         raise ValueError("target_linf must be positive")
 
     rng = np.random.default_rng(seed)
-    hat = np.zeros((n, n), dtype=np.complex128)
+    hat = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     for k1 in range(-k_max, k_max + 1):
         for k2 in range(-k_max, k_max + 1):
             if not (k1 > 0 or (k1 == 0 and k2 > 0)):
@@ -45,10 +45,11 @@ def random_smooth(
                 continue
             phase = rng.uniform(0.0, 2.0 * np.pi)
             c = mag ** (-spectral_slope) * np.exp(1j * phase)
-            hat[k1 % n, k2 % n] = c
-            hat[(-k1) % n, (-k2) % n] = np.conj(c)
+            for m1, m2, coeff in ((k1, k2, c), (-k1, -k2, np.conj(c))):
+                if m2 >= 0:  # the rfft2 half-spectrum holds k2 >= 0
+                    hat[m1 % n, m2] = coeff
 
-    values = np.fft.ifft2(hat * n * n).real
+    values = np.fft.irfft2(hat * n * n, s=(n, n))
     values *= target_linf / np.abs(values).max()
     return ScalarField(grid, values)
 

@@ -1,8 +1,10 @@
 """Spectral operators on the torus: Riesz transforms, half-Laplacian,
 incompressible velocity, gradients, and dealiased advection.
 
-All operators are pure functions built from diagonal Fourier multipliers.
-Sign conventions:
+All operators are pure functions built from diagonal Fourier multipliers
+applied to the ``rfft2`` half-spectrum; they return fields defined by
+their spectrum, whose point values are computed only when read. Sign
+conventions:
 
 - Riesz transform R_j has multiplier i*k_j/|k| (R_j = d_j Lambda^{-1}),
   with the k = 0 coefficient mapped to zero.
@@ -10,14 +12,15 @@ Sign conventions:
 - The velocity recovered from the scalar is u = (-R_2 theta, R_1 theta),
   which is divergence free by the spectral identity
   k_1*(-k_2/|k|) + k_2*(k_1/|k|) = 0.
+
+Vector quantities (velocity, gradient) are ``(u1, u2)`` tuples of fields.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import ScalarField, VectorField
-from .grid import Grid
+from .fields import ScalarField
 
 
 def riesz_transform(f: ScalarField, axis: int) -> ScalarField:
@@ -36,27 +39,24 @@ def half_laplacian(f: ScalarField) -> ScalarField:
     return ScalarField.from_hat(f.grid, f.grid.lam * f.hat)
 
 
-def gradient(f: ScalarField) -> VectorField:
+def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Spectral gradient (d_1 f, d_2 f)."""
-    return VectorField(
-        ScalarField.from_hat(f.grid, f.grid.ik1 * f.hat),
-        ScalarField.from_hat(f.grid, f.grid.ik2 * f.hat),
-    )
+    g = f.grid
+    return ScalarField.from_hat(g, g.ik1 * f.hat), ScalarField.from_hat(g, g.ik2 * f.hat)
 
 
-def velocity(theta: ScalarField) -> VectorField:
+def velocity(theta: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Incompressible velocity u = (-R_2 theta, R_1 theta)."""
     g = theta.grid
-    return VectorField(
-        ScalarField.from_hat(g, (-1j * g.k2_over_k) * theta.hat),
-        ScalarField.from_hat(g, (1j * g.k1_over_k) * theta.hat),
-    )
+    return (ScalarField.from_hat(g, (-1j * g.k2_over_k) * theta.hat),
+            ScalarField.from_hat(g, (1j * g.k1_over_k) * theta.hat))
 
 
-def divergence(v: VectorField) -> ScalarField:
+def divergence(u: tuple[ScalarField, ScalarField]) -> ScalarField:
     """Spectral divergence d_1 u1 + d_2 u2 (diagnostic helper)."""
-    g = v.grid
-    return ScalarField.from_hat(g, g.ik1 * v.u1.hat + g.ik2 * v.u2.hat)
+    u1, u2 = u
+    g = u1.grid
+    return ScalarField.from_hat(g, g.ik1 * u1.hat + g.ik2 * u2.hat)
 
 
 def dealias(f: ScalarField) -> ScalarField:
@@ -67,28 +67,19 @@ def dealias(f: ScalarField) -> ScalarField:
 def advect(theta: ScalarField) -> ScalarField:
     """Dealiased pseudo-spectral advection u . grad(theta).
 
-    The input spectrum is truncated to the 2/3 band, the velocity and
-    gradient are formed from the truncated field, the product is taken
-    pointwise, and the result is truncated again. Coefficients retained
-    after the second truncation are then exact convolution values, so the
-    discrete quadratic form integral(theta * advect(theta)) vanishes to
-    rounding for any input.
+    The velocity and gradient are formed from the input spectrum truncated
+    to the 2/3 band (the truncation is folded into their multipliers), the
+    product is taken pointwise, and the result is truncated again.
+    Coefficients retained after the second truncation are then exact
+    convolution values, so the discrete quadratic form
+    integral(theta * advect(theta)) vanishes to rounding for any input.
     """
     g = theta.grid
-    t_hat = theta.hat * g.dealias_mask
-    u1 = np.fft.ifft2((-1j * g.k2_over_k) * t_hat).real
-    u2 = np.fft.ifft2((1j * g.k1_over_k) * t_hat).real
-    t_x = np.fft.ifft2(g.ik1 * t_hat).real
-    t_y = np.fft.ifft2(g.ik2 * t_hat).real
-    product_hat = np.fft.fft2(u1 * t_x + u2 * t_y)
+    u1, u2, t_x, t_y = np.fft.irfft2(g.adv * theta.hat, s=(g.n, g.n))
+    product_hat = np.fft.rfft2(u1 * t_x + u2 * t_y)
     return ScalarField.from_hat(g, product_hat * g.dealias_mask)
 
 
 def integrate(f: ScalarField) -> float:
     """Rectangle-rule integral over one period cell (spectrally accurate)."""
     return float(f.values.sum() * f.grid.cell_area)
-
-
-def make_field(grid: Grid, values: np.ndarray) -> ScalarField:
-    """Convenience constructor from a plain array."""
-    return ScalarField(grid, values)

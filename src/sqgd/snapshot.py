@@ -10,11 +10,12 @@ Layout (all little-endian, independent of host byte order):
     A       f64
     payload n_x * n_y f64, row-major
 
-Write-then-read is bit-exact.
+Write-then-read is bit-exact; files are written atomically.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -32,13 +33,24 @@ class SnapshotError(ValueError):
     """Malformed or unsupported snapshot file."""
 
 
+def write_atomic(path: str | Path, *chunks: bytes) -> None:
+    """Write ``chunks`` to a temporary file beside ``path``, then move it
+    onto ``path``, so a failed write leaves the earlier file untouched."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_snapshot(path: str | Path, field: ScalarField, t: float, A: float) -> None:
     n = field.grid.n
     header = _HEADER.pack(MAGIC, VERSION, n, n, float(t), float(A))
     payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    write_atomic(path, header, payload)
 
 
 def read_snapshot(path: str | Path) -> tuple[ScalarField, float, float]:

@@ -25,7 +25,6 @@ from sqgd import (
     check_modulus,
     gradient,
     half_laplacian,
-    linear_symbol,
     minimal_b,
     modulus,
     modulus_inverse,
@@ -130,19 +129,19 @@ def test_criterion_01_operator_oracles():
         cases.append((half_laplacian(mixed).values, 5 * mixed.values))
         cases.append((half_laplacian(const).values, np.zeros((n, n))))
 
-        u = velocity(f_sin_y)
-        cases.append((u.u1.values, -np.cos(g.x2)))
-        cases.append((u.u2.values, np.zeros((n, n))))
-        v = velocity(single_mode(g))
-        cases.append((v.u1.values, np.zeros((n, n))))
-        cases.append((v.u2.values, np.cos(g.x1)))
+        u1, u2 = velocity(f_sin_y)
+        cases.append((u1.values, -np.cos(g.x2)))
+        cases.append((u2.values, np.zeros((n, n))))
+        v1, v2 = velocity(single_mode(g))
+        cases.append((v1.values, np.zeros((n, n))))
+        cases.append((v2.values, np.cos(g.x1)))
 
-        grad = gradient(single_mode(g))
-        cases.append((grad.u1.values, np.cos(g.x1)))
-        cases.append((grad.u2.values, np.zeros((n, n))))
+        d1, d2 = gradient(single_mode(g))
+        cases.append((d1.values, np.cos(g.x1)))
+        cases.append((d2.values, np.zeros((n, n))))
         f_cos2y = ScalarField(g, np.cos(2 * g.x2))
-        grad2 = gradient(f_cos2y)
-        cases.append((grad2.u2.values, -2 * np.sin(2 * g.x2)))
+        _, d2_cos2y = gradient(f_cos2y)
+        cases.append((d2_cos2y.values, -2 * np.sin(2 * g.x2)))
 
         cases.append((advect(const).values, np.zeros((n, n))))
         cases.append((advect(single_mode(g)).values, np.zeros((n, n))))

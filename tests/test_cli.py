@@ -17,7 +17,7 @@ from sqgd import (
     read_snapshot,
     write_snapshot,
 )
-from sqgd.cli import CSV_HEADER, main
+from sqgd.cli import CSV_HEADER, main, write_diagnostics_csv
 from sqgd.config import RunConfig, build_config, parse_config_file
 from sqgd.diagnostics import DiagnosticsRecord
 
@@ -134,6 +134,27 @@ class TestCmdRun:
         loaded, _, _ = read_snapshot(tmp_path / "o" / "snapshot_000000.sqgd")
         assert np.array_equal(loaded.values, field.values)
 
+    def test_missing_init_path_exits_2(self, tmp_path):
+        # an unreadable input is a file error, not a blow-up (exit 1)
+        code = main(run_args(tmp_path / "o", n=16, t_end=0.1, init="snapshot",
+                             init_path=str(tmp_path / "missing.sqgd")))
+        assert code == 2
+
+    def test_failed_csv_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "diagnostics.csv"
+        good = DiagnosticsRecord(t=0.0, l2=1.0, linf=1.0, max_grad=1.0, mean=0.0,
+                                 nonlinear_flux=0.0, dispersive_flux=0.0,
+                                 dissipation=-1.0)
+        write_diagnostics_csv(path, [good])
+        before = path.read_bytes()
+        bad = DiagnosticsRecord(t=None, l2=1.0, linf=1.0, max_grad=1.0, mean=0.0,
+                                nonlinear_flux=0.0, dispersive_flux=0.0,
+                                dissipation=-1.0)
+        with pytest.raises(TypeError):
+            write_diagnostics_csv(path, [good, good, bad])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["diagnostics.csv"]
+
 
 class TestConfigFile:
     def test_parse_and_precedence(self, tmp_path):
@@ -205,6 +226,16 @@ class TestCmdSweep:
         # init_kmax 9 exceeds n/3 for n = 16, so each member raises ValueError
         code = main(["sweep", "--A-list", "0,1", "--output-dir", str(tmp_path / "s"),
                      "--n", "16", "--t-end", "0.1", "--init-kmax", "9"])
+        assert code == 2
+        _, rows = read_csv(tmp_path / "s" / "summary.csv")
+        assert [row[0] for row in rows] == ["0", "1"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_unreadable_member_input_exits_2(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("SQGD_THREADS", threads)
+        code = main(["sweep", "--A-list", "0,1", "--output-dir", str(tmp_path / "s"),
+                     "--n", "16", "--t-end", "0.1", "--init", "snapshot",
+                     "--init-path", str(tmp_path / "missing.sqgd")])
         assert code == 2
         _, rows = read_csv(tmp_path / "s" / "summary.csv")
         assert [row[0] for row in rows] == ["0", "1"]

@@ -13,6 +13,7 @@ from sqgd import (
     ScalarField,
     SolverState,
     StepControl,
+    audit_breakthrough,
     chebyshev_check,
     energy_budget,
     minimal_b,
@@ -73,9 +74,9 @@ class TestEnergyBudget:
         theta = random_smooth(g, seed=seed, k_max=12, target_linf=1.0)
         nonlinear, _, _ = energy_budget(theta, 0.0)
         l2 = norms(theta)[0]
-        speed = velocity(theta).max_speed()
-        grad = gradient(theta)
-        max_grad = float(np.hypot(grad.u1.values, grad.u2.values).max())
+        speed = max(c.linf() for c in velocity(theta))
+        d1, d2 = gradient(theta)
+        max_grad = float(np.hypot(d1.values, d2.values).max())
         assert abs(nonlinear) <= 1e-10 * l2 * speed * max_grad
 
     def test_dissipation_nonpositive(self):
@@ -125,7 +126,7 @@ class TestSample:
         state = SolverState(ScalarField(g, np.zeros((16, 16))), 0.0, 0.0)
         rec = sample(state, SampleConfig(), 0)
         assert (rec.l2, rec.linf, rec.max_grad, rec.mean) == (0.0, 0.0, 0.0, 0.0)
-        assert rec.b_min is None and rec.audit is None
+        assert rec.b_min is None
 
     def test_matches_standalone_operations(self):
         g = Grid(32)
@@ -150,12 +151,9 @@ class TestSample:
     def test_audit_attached_when_requested(self):
         g = Grid(16)
         theta = random_smooth(g, seed=2, k_max=4, target_linf=0.01)
-        state = SolverState(theta, 0.0, 1.0)
-        cfg = SampleConfig(modulus_params=ModulusParams(), certify_every=1,
-                           with_audit=True)
-        rec = sample(state, cfg, 0)
-        assert rec.audit is not None
-        assert rec.audit.lhs_breakthrough <= 0  # certificate holds at b*(1+1e-3)
+        b_min = minimal_b(theta, ModulusParams()).b_min
+        audit = audit_breakthrough(theta, b_min * (1 + 1e-3), 1.0, ModulusParams())
+        assert audit.lhs_breakthrough <= 0  # certificate holds at b*(1+1e-3)
 
 
 class TestRunDiagnostics:

@@ -353,8 +353,8 @@ class TestMinimalB:
         g = Grid(48)
         theta = random_smooth(g, seed=7, k_max=8, target_linf=0.01)
         from sqgd import gradient
-        grad = gradient(theta)
-        max_grad = float(np.hypot(grad.u1.values, grad.u2.values).max())
+        d1, d2 = gradient(theta)
+        max_grad = float(np.hypot(d1.values, d2.values).max())
         b = minimal_b(theta, P).b_min
         assert max_grad <= b * (1 + 10 * g.dx)
 

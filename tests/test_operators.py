@@ -45,7 +45,7 @@ class TestGrid:
         g = Grid(32)
         k = np.fft.fftfreq(32, d=1.0 / 32)
         inside = np.abs(k) <= 32 / 3
-        assert np.array_equal(g.dealias_mask, inside[:, None] & inside[None, :])
+        assert np.array_equal(g.dealias_mask, inside[:, None] & inside[None, :17])
 
 
 class TestRoundTrip:
@@ -53,7 +53,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(3)
         vals = rng.standard_normal((grid.n, grid.n))
         f = ScalarField(grid, vals)
-        back = np.fft.ifft2(f.hat).real
+        back = np.fft.irfft2(f.hat, s=(grid.n, grid.n))
         assert np.abs(back - vals).max() <= 1e-12 * max(1.0, np.abs(vals).max())
 
     def test_from_hat_preserves_cache(self, grid):
@@ -124,19 +124,19 @@ class TestHalfLaplacian:
 class TestVelocity:
     def test_sin_y(self, grid):
         theta = ScalarField(grid, np.sin(grid.x2))
-        u = velocity(theta)
-        assert np.abs(u.u1.values - (-np.cos(grid.x2))).max() < 1e-12
-        assert np.abs(u.u2.values).max() < 1e-12
+        u1, u2 = velocity(theta)
+        assert np.abs(u1.values - (-np.cos(grid.x2))).max() < 1e-12
+        assert np.abs(u2.values).max() < 1e-12
 
     def test_sin_x(self, grid):
         theta = single_mode(grid)
-        u = velocity(theta)
-        assert np.abs(u.u1.values).max() < 1e-12
-        assert np.abs(u.u2.values - np.cos(grid.x1)).max() < 1e-12
+        u1, u2 = velocity(theta)
+        assert np.abs(u1.values).max() < 1e-12
+        assert np.abs(u2.values - np.cos(grid.x1)).max() < 1e-12
 
     def test_constant(self, grid):
         u = velocity(constant_field(grid))
-        assert u.max_speed() < 1e-14
+        assert max(c.linf() for c in u) < 1e-14
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_divergence_free(self, seed):
@@ -149,19 +149,19 @@ class TestVelocity:
 class TestGradient:
     def test_sin_x(self, grid):
         f = single_mode(grid)
-        grad = gradient(f)
-        assert np.abs(grad.u1.values - np.cos(grid.x1)).max() < 1e-12
-        assert np.abs(grad.u2.values).max() < 1e-12
+        d1, d2 = gradient(f)
+        assert np.abs(d1.values - np.cos(grid.x1)).max() < 1e-12
+        assert np.abs(d2.values).max() < 1e-12
 
     def test_constant(self, grid):
         grad = gradient(constant_field(grid))
-        assert grad.max_speed() < 1e-14
+        assert max(c.linf() for c in grad) < 1e-14
 
     def test_cos_2y(self, grid):
         f = ScalarField(grid, np.cos(2 * grid.x2))
-        grad = gradient(f)
-        assert np.abs(grad.u1.values).max() < 1e-12
-        assert np.abs(grad.u2.values - (-2.0 * np.sin(2 * grid.x2))).max() < 1e-12
+        d1, d2 = gradient(f)
+        assert np.abs(d1.values).max() < 1e-12
+        assert np.abs(d2.values - (-2.0 * np.sin(2 * grid.x2))).max() < 1e-12
 
 
 class TestAdvect:
@@ -203,7 +203,7 @@ class TestAdvect:
         w = advect(theta)
         form = float((theta.values * w.values).sum()) * g.cell_area
         scale = np.sqrt((theta.values**2).sum() * g.cell_area)
-        speed = velocity(dealias(theta)).max_speed()
+        speed = max(c.linf() for c in velocity(dealias(theta)))
         assert abs(form) <= 1e-10 * scale**2 * max(speed, 1.0)
 
     def test_mean_free(self):
@@ -223,11 +223,3 @@ class TestIntegrate:
         g = Grid(32)
         f = ScalarField(g, np.sin(g.x1) ** 2)
         assert integrate(f) == pytest.approx(2 * np.pi**2, rel=1e-13)
-
-
-class TestVectorField:
-    def test_rejects_mismatched_grids(self):
-        from sqgd import VectorField
-
-        with pytest.raises(ValueError):
-            VectorField(single_mode(Grid(16)), single_mode(Grid(32)))

@@ -1,9 +1,14 @@
-"""Snapshot format tests: bit-exact round trips and header validation."""
+"""Snapshot format tests: bit-exact round trips (also as a property over
+finite fields, times and amplitudes), header validation and atomic writes."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sqgd import Grid, ScalarField, read_snapshot, write_snapshot
 from sqgd.snapshot import MAGIC, VERSION, SnapshotError
@@ -87,3 +92,63 @@ class TestValidation:
         path.write_bytes(header + b"\x00" * (8 * 8 * 16))
         with pytest.raises(SnapshotError, match="non-square"):
             read_snapshot(path)
+
+
+class _FailingPayloadFile:
+    """File wrapper whose second write, the payload after the header,
+    raises as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("no space left on device")
+        return self.fh.write(data)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+class TestAtomicWrite:
+    def test_failed_payload_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.sqgd"
+        write_snapshot(path, make_field(seed=1), 0.5, 1.0)
+        before = path.read_bytes()
+        monkeypatch.setattr("sqgd.snapshot.open",
+                            lambda *args, **kwargs: _FailingPayloadFile(open(*args, **kwargs)),
+                            raising=False)
+        with pytest.raises(OSError):
+            write_snapshot(path, make_field(seed=2), 1.5, 2.0)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["f.sqgd"]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def snapshot_fields(draw):
+    n = 2 * draw(st.integers(min_value=4, max_value=32))
+    return draw(arrays(np.float64, (n, n), elements=finite))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(values=snapshot_fields(), t=finite, A=finite)
+    def test_bit_exact(self, values, t, A):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.sqgd"
+            write_snapshot(path, ScalarField(Grid(values.shape[0]), values), t, A)
+            loaded, t_read, A_read = read_snapshot(path)
+        assert loaded.values.tobytes() == values.tobytes()
+        assert struct.pack("<dd", t_read, A_read) == struct.pack("<dd", t, A)
