@@ -22,9 +22,8 @@ from .integrator import (
     SolverState,
     StepControl,
     cfl_dt,
+    exp_phi,
     linear_symbol_grid,
-    phi1,
-    phi2,
     run,
     step,
 )

@@ -18,7 +18,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -126,6 +127,16 @@ def _sweep_worker(cfg: RunConfig) -> tuple[float, str, str, str, int]:
     b_values = [rec.b_min for rec in records if rec.b_min is not None]
     max_bmin = _fmt(max(b_values)) if b_values else ""
     return cfg.A, _fmt(max_linf), max_bmin, _fmt(records[-1].l2), 0
+
+
+def _member_result(cfg: RunConfig, future: Future) -> tuple[float, str, str, str, int]:
+    """A pooled member's summary row; a member left without a result
+    because a pool process died has status 2 and empty cells."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        print(f"sweep member A={cfg.A:g} has no result: {exc}", file=sys.stderr)
+        return cfg.A, "", "", "", 2
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +250,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             results = [_sweep_worker(c) for c in configs]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_worker, configs))
+                futures = [pool.submit(_sweep_worker, c) for c in configs]
+                results = [_member_result(c, f) for c, f in zip(configs, futures)]
         for A, max_linf, max_bmin, final_l2, code in sorted(results):
             rows.append(f"{_fmt(A)},{max_linf},{max_bmin},{final_l2}")
             status = max(status, code)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -82,24 +83,32 @@ def linear_symbol_grid(grid: Grid, A: float) -> np.ndarray:
     return -grid.lam + 1j * (A * grid.k1_over_k)
 
 
-def phi1(z: np.ndarray) -> np.ndarray:
-    """phi_1(z) = (e^z - 1)/z with a Taylor fallback for small |z|."""
+def exp_phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e^z, phi_1(z), phi_2(z)) with phi_1(z) = (e^z - 1)/z and
+    phi_2(z) = (e^z - 1 - z)/z^2, from one complex exponential; a Taylor
+    series replaces the direct formulas where |z| is small."""
     z = np.asarray(z, dtype=np.complex128)
+    e = np.exp(z)
+    em1 = e - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1 = np.asarray(em1 / z)
+        p2 = np.asarray((em1 - z) / z**2)
     small = np.abs(z) < _PHI_SERIES_CUTOFF
-    zs = np.where(small, 1.0, z)
-    direct = (np.exp(zs) - 1.0) / zs
-    series = 1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0
-    return np.where(small, series, direct)
+    zs = z[small]
+    p1[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
+    p2[small] = 0.5 + zs / 6.0 + zs**2 / 24.0 + zs**3 / 120.0
+    return e, p1, p2
 
 
-def phi2(z: np.ndarray) -> np.ndarray:
-    """phi_2(z) = (e^z - 1 - z)/z^2 with a Taylor fallback for small |z|."""
-    z = np.asarray(z, dtype=np.complex128)
-    small = np.abs(z) < _PHI_SERIES_CUTOFF
-    zs = np.where(small, 1.0, z)
-    direct = (np.exp(zs) - 1.0 - zs) / zs**2
-    series = 0.5 + z / 6.0 + z**2 / 24.0 + z**3 / 120.0
-    return np.where(small, series, direct)
+@lru_cache(maxsize=1)
+def _step_weights(grid: Grid, A: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (e^z, dt*phi_1(z), dt*phi_2(z)) at z = L*dt. ``run``
+    clears the cache when it returns."""
+    e, p1, p2 = exp_phi(linear_symbol_grid(grid, A) * dt)
+    weights = (e, dt * p1, dt * p2)
+    for w in weights:
+        w.flags.writeable = False
+    return weights
 
 
 def step(state: SolverState, dt: float, advection_sign: int = 1) -> SolverState:
@@ -111,22 +120,20 @@ def step(state: SolverState, dt: float, advection_sign: int = 1) -> SolverState:
         theta' = a + dt phi2(z) (N(a) - N(theta))
 
     Exact for the linear flow whenever N vanishes along the step. All of
-    it works on half-spectra; no point values are computed here.
+    it works on half-spectra; no point values are computed here. The
+    weights are cached for the last (n, A, dt).
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     if dt == 0.0:
         return state
     grid = state.theta.grid
-    z = linear_symbol_grid(grid, state.A) * dt
-    propagator = np.exp(z)
-    p1 = phi1(z)
-    p2 = phi2(z)
+    propagator, w1, w2 = _step_weights(grid, state.A, dt)
 
     n0 = advection_sign * advect(state.theta).hat
-    a_hat = propagator * state.theta.hat + dt * p1 * n0
+    a_hat = propagator * state.theta.hat + w1 * n0
     n1 = advection_sign * advect(ScalarField.from_hat(grid, a_hat)).hat
-    new_hat = a_hat + dt * p2 * (n1 - n0)
+    new_hat = a_hat + w2 * (n1 - n0)
 
     if not np.isfinite(new_hat).all():
         raise BlowUpError("non-finite values after step", state.t + dt, state.step_count + 1)
@@ -156,7 +163,8 @@ def run(
     ``hook`` is invoked at the initial state, at every multiple of
     ``sample_every`` past state0.t, and at t_end. Raises
     :class:`BlowUpError` if the sup norm exceeds 1e6 times its initial
-    value or stops being finite.
+    value or stops being finite. The step weights cached along the way
+    are released when the stepping ends.
     """
     if t_end < state0.t:
         raise ValueError("t_end must not precede the current time")
@@ -174,35 +182,38 @@ def run(
     sample_index = 1
     eps = 1e-12 * max(1.0, abs(t_end))
 
-    while t_end - state.t > eps:
-        if sample_every is not None:
-            next_sample = t0 + sample_index * sample_every
-            target = min(t_end, next_sample)
-        else:
-            next_sample = math.inf
-            target = t_end
+    try:
+        while t_end - state.t > eps:
+            if sample_every is not None:
+                next_sample = t0 + sample_index * sample_every
+                target = min(t_end, next_sample)
+            else:
+                next_sample = math.inf
+                target = t_end
 
-        if ctrl.mode == "fixed":
-            dt_nominal = min(ctrl.dt_fixed, ctrl.dt_max)
-        else:
-            dt_nominal = cfl_dt(velocity(state.theta), state.theta.grid, ctrl)
+            if ctrl.mode == "fixed":
+                dt_nominal = min(ctrl.dt_fixed, ctrl.dt_max)
+            else:
+                dt_nominal = cfl_dt(velocity(state.theta), state.theta.grid, ctrl)
 
-        remaining = target - state.t
-        boundary_step = dt_nominal >= remaining
-        dt = remaining if boundary_step else dt_nominal
-        state = step(state, dt, advection_sign)
-        if boundary_step:
-            state = replace(state, t=target)
+            remaining = target - state.t
+            boundary_step = dt_nominal >= remaining
+            dt = remaining if boundary_step else dt_nominal
+            state = step(state, dt, advection_sign)
+            if boundary_step:
+                state = replace(state, t=target)
 
-        if linf0 > 0 and state.theta.linf() > _BLOWUP_FACTOR * linf0:
-            raise BlowUpError("sup norm exceeded 1e6 times its initial value",
-                              state.t, state.step_count)
+            if linf0 > 0 and state.theta.linf() > _BLOWUP_FACTOR * linf0:
+                raise BlowUpError("sup norm exceeded 1e6 times its initial value",
+                                  state.t, state.step_count)
 
-        at_sample = boundary_step and target == next_sample and target < t_end
-        if at_sample:
-            sample_index += 1
-            if hook is not None:
-                hook(state)
+            at_sample = boundary_step and target == next_sample and target < t_end
+            if at_sample:
+                sample_index += 1
+                if hook is not None:
+                    hook(state)
+    finally:
+        _step_weights.cache_clear()
 
     state = replace(state, t=t_end)
     if hook is not None:

@@ -75,7 +75,7 @@ def advect(theta: ScalarField) -> ScalarField:
     integral(theta * advect(theta)) vanishes to rounding for any input.
     """
     g = theta.grid
-    u1, u2, t_x, t_y = np.fft.irfft2(g.adv * theta.hat, s=(g.n, g.n))
+    u1, u2, t_x, t_y = (np.fft.irfft2(m * theta.hat, s=(g.n, g.n)) for m in g.adv)
     product_hat = np.fft.rfft2(u1 * t_x + u2 * t_y)
     return ScalarField.from_hat(g, product_hat * g.dealias_mask)
 

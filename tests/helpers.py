@@ -4,15 +4,17 @@ explicit loops instead of FFT products, the velocity-modulus oracle is
 a fixed-step Simpson rule with an analytic tail bracket instead of
 adaptive quadrature, the class-table oracle rolls the field through
 every displacement class and inverts omega by its own bisection, and the
-linear symbol is evaluated one wavevector at a time."""
+linear symbol and the ETDRK2 weights are evaluated one wavevector at a
+time with the scalar math library."""
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from sqgd import Grid, ScalarField
+from sqgd import Grid, ScalarField, advect
 from sqgd.modulus import ModulusParams, modulus
 
 
@@ -36,6 +38,44 @@ def linear_symbol(k: tuple[int, int], A: float) -> complex:
     if mag == 0.0:
         return 0j
     return complex(-mag, A * k1 / mag)
+
+
+def _exp_phi_oracle(z: complex) -> tuple[complex, complex, complex]:
+    """(e^z, phi_1(z), phi_2(z)) at one point: power series for |z| < 1,
+    otherwise the closed forms with e^z - 1 built from ``math.expm1``."""
+    if abs(z) < 1.0:
+        p1 = sum(z**k / math.factorial(k + 1) for k in range(25))
+        p2 = sum(z**k / math.factorial(k + 2) for k in range(25))
+        return cmath.exp(z), p1, p2
+    x, y = z.real, z.imag
+    em1 = complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
+                  math.exp(x) * math.sin(y))
+    return cmath.exp(z), em1 / z, (em1 - z) / z**2
+
+
+def etdrk2_step_oracle(theta: ScalarField, A: float, dt: float, sign: int = 1) -> np.ndarray:
+    """Half-spectrum after one ETDRK2 step of size dt (oracle for
+    ``integrator.step``).
+
+    The weights are evaluated one wavevector at a time from
+    ``linear_symbol``, ``cmath`` and ``math.expm1``, with a zero symbol on
+    the Nyquist row and column; the advection term is
+    ``operators.advect``, which criterion 2 checks against
+    ``advection_oracle``.
+    """
+    n = theta.grid.n
+    e, w1, w2 = (np.empty((n, n // 2 + 1), dtype=np.complex128) for _ in range(3))
+    for i in range(n):
+        k1 = i if i < n // 2 else i - n
+        for k2 in range(n // 2 + 1):
+            nyquist = abs(k1) == n // 2 or k2 == n // 2
+            z = 0j if nyquist else linear_symbol((k1, k2), A) * dt
+            ez, p1, p2 = _exp_phi_oracle(z)
+            e[i, k2], w1[i, k2], w2[i, k2] = ez, dt * p1, dt * p2
+    n0 = sign * advect(theta).hat
+    a_hat = e * theta.hat + w1 * n0
+    n1 = sign * advect(ScalarField.from_hat(theta.grid, a_hat)).hat
+    return a_hat + w2 * (n1 - n0)
 
 
 def field_from_coeffs(grid: Grid, coeffs: dict[tuple[int, int], complex]) -> ScalarField:

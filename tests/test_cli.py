@@ -2,11 +2,15 @@
 config precedence, and byte-level reproducibility."""
 
 import math
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sqgd import (
     Grid,
@@ -156,6 +160,41 @@ class TestCmdRun:
         assert [p.name for p in tmp_path.iterdir()] == ["diagnostics.csv"]
 
 
+# What one `key = value` line carries: '#' always starts a comment, lines
+# split at any line boundary and values are stripped.
+config_text = st.text(st.characters(blacklist_characters="#",
+                                    blacklist_categories=("Cs", "Cc", "Zl", "Zp"))
+                      ).filter(lambda text: text == text.strip())
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def run_configs(draw):
+    """A valid RunConfig with every field drawn."""
+    delta = draw(st.floats(min_value=1e-6, max_value=0.4))
+    gamma_max = min(delta, 4.0 * delta * (1.0 - 1.5 * math.sqrt(delta)))
+    gamma = gamma_max * draw(st.floats(min_value=0.0, max_value=1.0,
+                                       exclude_min=True, exclude_max=True))
+    values = dict(
+        n=draw(st.integers()), t_end=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        A=draw(finite), advection_sign=draw(st.sampled_from([1, -1])),
+        step_mode=draw(st.sampled_from(["fixed", "cfl"])), dt_fixed=draw(positive),
+        cfl_number=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        dt_max=draw(positive), gamma=gamma, delta=delta, c_omega=draw(positive),
+        init=draw(st.sampled_from(["random_smooth", "single_mode", "two_mode",
+                                   "gaussian_bump", "snapshot"])),
+        init_seed=draw(st.integers()), init_slope=draw(finite),
+        init_kmax=draw(st.integers()), init_linf=draw(finite), init_width=draw(finite),
+        init_path=draw(config_text), sample_every=draw(positive),
+        certify_every=draw(st.integers(min_value=0)), output_dir=draw(config_text),
+    )
+    try:
+        return RunConfig(**values)
+    except ValueError:
+        assume(False)
+
+
 class TestConfigFile:
     def test_parse_and_precedence(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -178,6 +217,16 @@ class TestConfigFile:
         cfg_file.write_text("resolution = 32\n")
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_file(cfg_file)
+
+    @given(config=run_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_file_round_trip(self, config):
+        # str() of a float is its shortest round-tripping repr
+        text = "".join(f"{key} = {value}\n" for key, value in vars(config).items())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.cfg"
+            path.write_text(text)
+            assert build_config(str(path), {}) == config
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -229,6 +278,17 @@ class TestCmdSweep:
         assert code == 2
         _, rows = read_csv(tmp_path / "s" / "summary.csv")
         assert [row[0] for row in rows] == ["0", "1"]
+
+    def test_dead_member_process_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SQGD_THREADS", "2")
+        # the pool forks, so its members inherit the patched module
+        monkeypatch.setattr("sqgd.cli.execute_run", lambda cfg: os._exit(1))
+        code = main(["sweep", "--A-list", "0,1", "--output-dir", str(tmp_path / "s"),
+                     "--n", "16", "--t-end", "0.1", "--init", "single_mode"])
+        assert code == 2
+        _, rows = read_csv(tmp_path / "s" / "summary.csv")
+        assert rows == [["0", "", "", ""], ["1", "", "", ""]]
+        assert "has no result" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_unreadable_member_input_exits_2(self, tmp_path, monkeypatch, threads):

@@ -13,15 +13,15 @@ from sqgd import (
     SolverState,
     StepControl,
     cfl_dt,
+    exp_phi,
     linear_symbol_grid,
-    phi1,
-    phi2,
     run,
     step,
 )
 from sqgd.initial import random_smooth, single_mode
+from sqgd.integrator import _step_weights
 
-from helpers import conj_symmetry_error, linear_symbol
+from helpers import conj_symmetry_error, etdrk2_step_oracle, linear_symbol
 
 
 def l2_norm(field):
@@ -58,8 +58,8 @@ class TestLinearSymbol:
 
 class TestPhiFunctions:
     def test_values_at_zero(self):
-        assert phi1(np.array(0.0)) == pytest.approx(1.0)
-        assert phi2(np.array(0.0)) == pytest.approx(0.5)
+        assert exp_phi(np.array(0.0))[1] == pytest.approx(1.0)
+        assert exp_phi(np.array(0.0))[2] == pytest.approx(0.5)
 
     def test_series_matches_direct_at_crossover(self):
         # continuity where the evaluation switches branch: straddle the
@@ -69,14 +69,78 @@ class TestPhiFunctions:
         for direction in (1.0, 1.0j, (1.0 + 1.0j) / math.sqrt(2)):
             zl = np.array(1e-4 * (1 - 1e-9) * direction)
             zh = np.array(1e-4 * (1 + 1e-9) * direction)
-            assert abs(phi1(zl) - phi1(zh)) < 1e-11
-            assert abs(phi2(zl) - phi2(zh)) < 1e-7
-        assert abs(complex(phi1(np.array(2e-4))) - (math.expm1(2e-4) / 2e-4)) < 1e-12
+            assert abs(exp_phi(zl)[1] - exp_phi(zh)[1]) < 1e-11
+            assert abs(exp_phi(zl)[2] - exp_phi(zh)[2]) < 1e-7
+        assert abs(complex(exp_phi(np.array(2e-4))[1]) - (math.expm1(2e-4) / 2e-4)) < 1e-12
 
     def test_known_value(self):
         z = np.array(1.0)
-        assert complex(phi1(z)) == pytest.approx(math.e - 1.0)
-        assert complex(phi2(z)) == pytest.approx(math.e - 2.0)
+        assert complex(exp_phi(z)[1]) == pytest.approx(math.e - 1.0)
+        assert complex(exp_phi(z)[2]) == pytest.approx(math.e - 2.0)
+
+    def test_exp_is_numpy_exp(self):
+        g = Grid(32)
+        for dt in (1e-7, 1e-3, 0.5):
+            z = linear_symbol_grid(g, 3.0) * dt
+            assert np.array_equal(exp_phi(z)[0], np.exp(z))
+        for z in (0.0, 5e-5j, 1.0 + 2.0j):
+            assert exp_phi(np.array(z))[0] == np.exp(complex(z))
+
+
+class TestStepWeights:
+    def state(self, n, A, seed=4):
+        g = Grid(n)
+        return SolverState(random_smooth(g, seed=seed, k_max=n // 3, target_linf=1.0), 0.0, A)
+
+    def test_one_entry_cleared_after_run(self):
+        sizes = []
+        ctrl = StepControl(mode="fixed", dt_fixed=0.03, dt_max=1.0)
+        out = run(self.state(16, 1.0), ctrl, 0.2,
+                  hook=lambda s: sizes.append(_step_weights.cache_info().currsize),
+                  sample_every=0.1)
+        assert out.t == 0.2
+        assert _step_weights.cache_info().maxsize == 1
+        assert max(sizes) == 1
+        assert _step_weights.cache_info().currsize == 0
+
+    def test_cleared_when_run_raises(self):
+        def hook(s):
+            if s.t > 0:
+                raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError):
+            run(self.state(16, 1.0), StepControl(mode="fixed", dt_fixed=0.03, dt_max=1.0),
+                0.2, hook=hook, sample_every=0.1)
+        assert _step_weights.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("first", [(16, 0.0), (32, 2.0)], ids=["other A", "other n"])
+    def test_back_to_back_steps_match_fresh_weights(self, first):
+        dt = 0.02
+        second = self.state(16, 2.0)
+        step(self.state(*first), dt)
+        after_other = step(second, dt)
+        cached = _step_weights(second.theta.grid, 2.0, dt)
+        e, p1, p2 = exp_phi(linear_symbol_grid(second.theta.grid, 2.0) * dt)
+        for got, want in zip(cached, (e, dt * p1, dt * p2)):
+            assert np.array_equal(got, want)
+        _step_weights.cache_clear()
+        fresh = step(second, dt)
+        assert np.array_equal(after_other.theta.hat, fresh.theta.hat)
+
+    def test_cached_arrays_reject_writes(self):
+        for w in _step_weights(Grid(16), 1.0, 0.01):
+            with pytest.raises(ValueError):
+                w[0, 0] = 1.0
+
+    @pytest.mark.parametrize("A", [0.0, 2.0])
+    @pytest.mark.parametrize("dt", [1e-5, 1e-3, 0.05, 0.3])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_step_matches_scalar_oracle(self, A, dt, sign):
+        state = self.state(16, A, seed=9)
+        got = step(state, dt, sign).theta.values
+        want = ScalarField.from_hat(state.theta.grid,
+                                    etdrk2_step_oracle(state.theta, A, dt, sign)).values
+        assert np.abs(got - want).max() <= 1e-14
 
 
 class TestStep:
