@@ -234,6 +234,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     base = Path(cfg.output_dir)
     amplitudes = sorted(float(tok) for tok in args.A_list.split(",") if tok.strip())
+    if not amplitudes:
+        raise ValueError(f"--A-list {args.A_list!r} names no amplitude")
     names = [f"A_{A:g}" for A in amplitudes]
     if len(set(names)) < len(names):
         raise ValueError(f"amplitudes {amplitudes} map to colliding directories {names}")
@@ -241,23 +243,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                for A, name in zip(amplitudes, names)]
     base.mkdir(parents=True, exist_ok=True)
 
-    status = 0
-    rows = []
-    if configs:
-        workers = int(os.environ.get("SQGD_THREADS", os.cpu_count() or 1))
-        workers = max(1, min(workers, len(configs)))
-        if workers == 1:
-            results = [_sweep_worker(c) for c in configs]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_sweep_worker, c) for c in configs]
-                results = [_member_result(c, f) for c, f in zip(configs, futures)]
-        for A, max_linf, max_bmin, final_l2, code in sorted(results):
-            rows.append(f"{_fmt(A)},{max_linf},{max_bmin},{final_l2}")
-            status = max(status, code)
-
+    workers = int(os.environ.get("SQGD_THREADS", os.cpu_count() or 1))
+    workers = max(1, min(workers, len(configs)))
+    if workers == 1:
+        results = [_sweep_worker(c) for c in configs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_sweep_worker, c) for c in configs]
+            results = [_member_result(c, f) for c, f in zip(configs, futures)]
+    results.sort()
+    rows = [f"{_fmt(A)},{max_linf},{max_bmin},{final_l2}"
+            for A, max_linf, max_bmin, final_l2, _ in results]
     write_atomic(base / "summary.csv", _csv_bytes(["A,max_linf,max_bmin,final_l2"] + rows))
-    return status
+    return max(code for *_, code in results)
 
 
 def cmd_certify(args: argparse.Namespace) -> int:

@@ -38,7 +38,9 @@ The induced modulus for the Riesz-transform velocity is
 with Omega_B(xi) = Omega(B*xi) by a change of variables. The constant C is
 not pinned down by theory at this level of generality; it is exposed as
 ``c_omega`` (default 1) with a calibration helper, and audits report
-measured/bound ratios rather than asserting them.
+measured/bound ratios rather than asserting them. Its quadrature is the
+package's only use of SciPy, imported on the first call of velocity_modulus
+(from audit_breakthrough, calibrate_c_omega and ``sqgd audit``).
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import quad
 
 from .fields import ScalarField
 from .operators import riesz_transform
@@ -232,6 +233,9 @@ def velocity_modulus(xi: float, p: ModulusParams) -> float:
     Callers obtain Omega_B via the scaling identity Omega_B(xi) =
     Omega(B*xi).
     """
+    # Imported on first use: loading SciPy more than triples every command's start-up time.
+    from scipy.integrate import quad
+
     x = float(_validate_separations(xi))
     if x == 0.0:
         return 0.0
@@ -395,6 +399,8 @@ def audit_breakthrough(theta: ScalarField, b: float, a: float, p: ModulusParams)
     structure or singular-integral representations and are not measured
     here.
     """
+    if not math.isfinite(a):
+        raise ValueError("amplitude must be finite")
     worst = _worst_pair(theta, b, p)
     xi = worst.xi
 

@@ -19,6 +19,7 @@ from sqgd import (
     audit_breakthrough,
     minimal_b,
     read_snapshot,
+    two_mode,
     write_snapshot,
 )
 from sqgd.cli import CSV_HEADER, main, write_diagnostics_csv
@@ -238,12 +239,12 @@ class TestConfigFile:
 
 
 class TestCmdSweep:
-    def test_empty_list_header_only(self, tmp_path):
-        code = main(["sweep", "--A-list", "", "--output-dir", str(tmp_path / "s"),
+    @pytest.mark.parametrize("a_list", ["", ","], ids=["empty", "comma"])
+    def test_empty_list_exits_2(self, tmp_path, a_list):
+        code = main(["sweep", "--A-list", a_list, "--output-dir", str(tmp_path / "s"),
                      "--n", "16", "--t-end", "0.1", "--init", "single_mode"])
-        assert code == 0
-        text = (tmp_path / "s" / "summary.csv").read_text()
-        assert text == "A,max_linf,max_bmin,final_l2\n"
+        assert code == 2
+        assert not (tmp_path / "s").exists()
 
     def test_single_member_matches_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SQGD_THREADS", "1")
@@ -388,6 +389,32 @@ class TestCmdAudit:
         write_snapshot(snap, ScalarField(g, np.zeros((16, 16))), 0.0, 0.0)
         assert main(["audit", str(snap), "--B", "-1"]) == 2
 
+    @pytest.mark.parametrize("amplitude", ["nan", "inf"])
+    def test_nonfinite_amplitude_exits_2(self, tmp_path, capsys, amplitude):
+        snap = tmp_path / "f.sqgd"
+        write_snapshot(snap, two_mode(Grid(16)), 0.0, 1.0)
+        assert main(["audit", str(snap), "--B", "5", "--A", amplitude]) == 2
+        assert capsys.readouterr().out == ""
+
+
+# Runs `run` and `certify` in a fresh interpreter, prints the SciPy modules
+# they loaded, then audits the last snapshot at 1.001 times its b_min.
+FRESH_CLI = """\
+import sys
+from pathlib import Path
+import sqgd, sqgd.cli
+
+out = Path(sys.argv[1])
+snapshot = str(out / "snapshot_000001.sqgd")
+assert sqgd.cli.main(["run", "--output-dir", str(out), "--n", "16", "--t-end", "0.1",
+                      "--sample-every", "0.1", "--init-kmax", "4",
+                      "--init-linf", "0.01", "--certify-every", "1"]) == 0
+assert sqgd.cli.main(["certify", snapshot]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+b_min = float((out / "diagnostics.csv").read_text().split(",")[-1])
+sys.exit(sqgd.cli.main(["audit", snapshot, "--B", repr(b_min * 1.001)]))
+"""
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -399,3 +426,22 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert (tmp_path / "o" / "diagnostics.csv").exists()
+
+    def test_only_audit_loads_scipy(self, tmp_path):
+        out = tmp_path / "o"
+        result = subprocess.run([sys.executable, "-c", FRESH_CLI, str(out)],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[2] == "[]"  # no scipy module after run and certify
+        field, _, amplitude = read_snapshot(out / "snapshot_000001.sqgd")
+        _, rows = read_csv(out / "diagnostics.csv")
+        rep = audit_breakthrough(field, float(rows[-1][8]) * 1.001, amplitude,
+                                 ModulusParams())
+        assert lines[3:] == [
+            "xi,lhs_breakthrough,derivative_bound,disp_measured,disp_bound,"
+            "disp_ratio,saturation",
+            ",".join(f"{v:.17g}" for v in [
+                rep.xi, rep.lhs_breakthrough, rep.derivative_bound, rep.disp_measured,
+                rep.disp_bound, rep.disp_ratio, rep.saturation]),
+        ]

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from sqgd import (
@@ -365,6 +365,20 @@ class TestMinimalB:
         theta = ScalarField(g, 0.1 * np.sin(g.x1))
         assert math.isinf(minimal_b(theta, P).b_min)
 
+    # omega is concave with omega(0) = 0, so omega^{-1} is convex through 0
+    # and omega^{-1}(c*J) >= c*omega^{-1}(J) for c >= 1: b_min grows at
+    # least linearly under theta -> c*theta. Negation is exact and every
+    # jump is an absolute value, so c = -1 leaves b_min unchanged.
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([8, 12, 16, 24, 32]), seed=st.integers(0, 2**32 - 1),
+           c=st.floats(min_value=1.0, max_value=4.0))
+    def test_scaling_of_field(self, n, seed, c):
+        g = Grid(n)
+        theta = random_smooth(g, seed=seed, k_max=n // 4, target_linf=0.008)
+        b = minimal_b(theta, P).b_min
+        assert minimal_b(ScalarField(g, -theta.values), P).b_min == b
+        assert minimal_b(ScalarField(g, c * theta.values), P).b_min >= c * b * (1 - 1e-12)
+
 
 class TestBreakthroughB:
     def test_zero_amplitude(self):
@@ -436,6 +450,12 @@ class TestAuditBreakthrough:
         theta = ScalarField(g, np.zeros((16, 16)))
         with pytest.raises(ValueError):
             audit_breakthrough(theta, -0.5, 1.0, P)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_nonfinite_amplitude_rejected(self, a):
+        theta = random_smooth(Grid(16), seed=0, k_max=4, target_linf=0.01)
+        with pytest.raises(ValueError):
+            audit_breakthrough(theta, 5.0, a, P)
 
 
 class TestCalibration:
