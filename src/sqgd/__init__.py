@@ -46,11 +46,8 @@ from .modulus import (
 )
 from .operators import (
     advect,
-    dealias,
-    divergence,
     gradient,
     half_laplacian,
-    integrate,
     riesz_transform,
     velocity,
 )

@@ -221,21 +221,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     try:
         execute_run(cfg)
-    except BlowUpError as exc:
+    except (BlowUpError, L2ViolationError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
-        return 1
-    except L2ViolationError as exc:
-        print(f"run aborted: {exc}", file=sys.stderr)
-        return 3
+        return 1 if isinstance(exc, BlowUpError) else 3
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     base = Path(cfg.output_dir)
-    amplitudes = sorted(float(tok) for tok in args.A_list.split(",") if tok.strip())
-    if not amplitudes:
-        raise ValueError(f"--A-list {args.A_list!r} names no amplitude")
+    tokens = args.A_list.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ValueError(f"--A-list {args.A_list!r} has a blank amplitude")
+    amplitudes = sorted(float(tok) for tok in tokens)
     names = [f"A_{A:g}" for A in amplitudes]
     if len(set(names)) < len(names):
         raise ValueError(f"amplitudes {amplitudes} map to colliding directories {names}")

@@ -75,15 +75,17 @@ def norms(theta: ScalarField) -> tuple[float, float, float, float]:
     return l2, linf, max_grad, mean
 
 
-def energy_budget(theta: ScalarField, A: float) -> tuple[float, float, float]:
+def energy_budget(theta: ScalarField, A: float,
+                  advection: ScalarField | None = None) -> tuple[float, float, float]:
     """(nonlinear_flux, dispersive_flux, dissipation) as defined above.
 
     The first two are identically zero in exact arithmetic; their measured
-    values quantify discretization and rounding residue.
+    values quantify discretization and rounding residue. ``advection`` is
+    advect(theta) when the caller has it, as ``sample`` has a state's tendency.
     """
     g = theta.grid
     vals = theta.values
-    nonlinear = float((vals * advect(theta).values).sum()) * g.cell_area
+    nonlinear = float((vals * (advection or advect(theta)).values).sum()) * g.cell_area
     dispersive = A * float((vals * riesz_transform(theta, 1).values).sum()) * g.cell_area
 
     power = np.abs(theta.hat) ** 2
@@ -114,7 +116,7 @@ def sample(state: SolverState, cfg: SampleConfig, index: int) -> DiagnosticsReco
     ``certify_every``.
     """
     l2, linf, max_grad, mean = norms(state.theta)
-    nonlinear, dispersive, dissipation = energy_budget(state.theta, state.A)
+    nonlinear, dispersive, dissipation = energy_budget(state.theta, state.A, state.tendency[0])
     b_min = None
     certify = (
         cfg.modulus_params is not None

@@ -69,5 +69,11 @@ class ScalarField:
     def linf(self) -> float:
         return float(np.abs(self.values).max())
 
+    def linf_bound(self) -> float:
+        """Wiener bound n^-2 * sum_k |c(k)| >= linf(), with no transform; an
+        interior column k2 in (0, n/2) stands for k2 and -k2 and counts twice."""
+        a = np.abs(self.hat)
+        return float(2.0 * a.sum() - a[:, 0].sum() - a[:, -1].sum()) / self.grid.n**2
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"ScalarField(n={self.grid.n}, linf={self.linf():.3g})"

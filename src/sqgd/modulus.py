@@ -124,10 +124,10 @@ class ModulusCertificate:
 class AuditReport:
     """Numerical snapshot of the breakthrough inequalities at the tightest
     pair. ``lhs_breakthrough`` is max over pairs of theta(y) - theta(z)
-    - omega_B(|y-z|); ``derivative_bound`` is (-omega_B'(xi) + A) * Omega_B(xi);
-    the dispersive entries compare the measured increment of A*u2 against
-    its bound A*Omega_B(xi). ``saturation`` is jump/omega_B(xi) at the
-    witness."""
+    - omega_B(|y-z|); ``derivative_bound`` is (-omega_B'(xi) + |A|) * Omega_B(xi);
+    the dispersive entries compare the measured increment of |A|*u2 against
+    its bound |A|*Omega_B(xi), so A and -A give the same report.
+    ``saturation`` is jump/omega_B(xi) at the witness."""
 
     xi: float
     lhs_breakthrough: float
@@ -401,6 +401,7 @@ def audit_breakthrough(theta: ScalarField, b: float, a: float, p: ModulusParams)
     """
     if not math.isfinite(a):
         raise ValueError("amplitude must be finite")
+    a = abs(a)
     worst = _worst_pair(theta, b, p)
     xi = worst.xi
 

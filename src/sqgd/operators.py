@@ -52,18 +52,6 @@ def velocity(theta: ScalarField) -> tuple[ScalarField, ScalarField]:
             ScalarField.from_hat(g, (1j * g.k1_over_k) * theta.hat))
 
 
-def divergence(u: tuple[ScalarField, ScalarField]) -> ScalarField:
-    """Spectral divergence d_1 u1 + d_2 u2 (diagnostic helper)."""
-    u1, u2 = u
-    g = u1.grid
-    return ScalarField.from_hat(g, g.ik1 * u1.hat + g.ik2 * u2.hat)
-
-
-def dealias(f: ScalarField) -> ScalarField:
-    """Zero every coefficient with max(|k1|, |k2|) > n/3 (2/3-rule cutoff)."""
-    return ScalarField.from_hat(f.grid, f.hat * f.grid.dealias_mask)
-
-
 def advect(theta: ScalarField) -> ScalarField:
     """Dealiased pseudo-spectral advection u . grad(theta).
 
@@ -74,12 +62,13 @@ def advect(theta: ScalarField) -> ScalarField:
     convolution values, so the discrete quadratic form
     integral(theta * advect(theta)) vanishes to rounding for any input.
     """
+    return advect_with_speed(theta)[0]
+
+
+def advect_with_speed(theta: ScalarField) -> tuple[ScalarField, float]:
+    """(advect(theta), max |u1|, |u2| over the grid for the dealiased u it uses)."""
     g = theta.grid
     u1, u2, t_x, t_y = (np.fft.irfft2(m * theta.hat, s=(g.n, g.n)) for m in g.adv)
+    speed = max(u1.max(), -u1.min(), u2.max(), -u2.min())
     product_hat = np.fft.rfft2(u1 * t_x + u2 * t_y)
-    return ScalarField.from_hat(g, product_hat * g.dealias_mask)
-
-
-def integrate(f: ScalarField) -> float:
-    """Rectangle-rule integral over one period cell (spectrally accurate)."""
-    return float(f.values.sum() * f.grid.cell_area)
+    return ScalarField.from_hat(g, product_hat * g.dealias_mask), float(speed)

@@ -5,7 +5,8 @@ a fixed-step Simpson rule with an analytic tail bracket instead of
 adaptive quadrature, the class-table oracle rolls the field through
 every displacement class and inverts omega by its own bisection, and the
 linear symbol and the ETDRK2 weights are evaluated one wavevector at a
-time with the scalar math library."""
+time with the scalar math library. The divergence, 2/3 truncation and
+rectangle-rule integral are the plain multiplier and sum forms."""
 
 from __future__ import annotations
 
@@ -28,6 +29,23 @@ def conj_symmetry_error(hat: np.ndarray) -> float:
     idx = (-np.arange(n)) % n
     cols = hat[:, [0, n // 2]]
     return float(np.abs(cols - np.conj(cols[idx])).max())
+
+
+def divergence(u: tuple[ScalarField, ScalarField]) -> ScalarField:
+    """Spectral divergence d_1 u1 + d_2 u2."""
+    u1, u2 = u
+    g = u1.grid
+    return ScalarField.from_hat(g, g.ik1 * u1.hat + g.ik2 * u2.hat)
+
+
+def dealias(f: ScalarField) -> ScalarField:
+    """Zero every coefficient with max(|k1|, |k2|) > n/3 (2/3-rule cutoff)."""
+    return ScalarField.from_hat(f.grid, f.hat * f.grid.dealias_mask)
+
+
+def integrate(f: ScalarField) -> float:
+    """Rectangle-rule integral over one period cell (spectrally accurate)."""
+    return float(f.values.sum() * f.grid.cell_area)
 
 
 def linear_symbol(k: tuple[int, int], A: float) -> complex:

@@ -246,6 +246,15 @@ class TestCmdSweep:
         assert code == 2
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("a_list", ["0,,1", "0,1,", " ,1", "0,\t,1"],
+                             ids=["inner", "trailing", "space", "tab"])
+    def test_blank_amplitude_exits_2(self, tmp_path, a_list, capsys):
+        code = main(["sweep", "--A-list", a_list, "--output-dir", str(tmp_path / "s"),
+                     "--n", "16", "--t-end", "0.1", "--init", "single_mode"])
+        assert code == 2
+        assert not (tmp_path / "s").exists()
+        assert "blank amplitude" in capsys.readouterr().err
+
     def test_single_member_matches_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SQGD_THREADS", "1")
         kwargs = dict(n=16, t_end=0.2, init="single_mode", sample_every=0.1,

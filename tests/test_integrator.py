@@ -2,6 +2,7 @@
 CFL selection, run orchestration, and conservation properties."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +19,13 @@ from sqgd import (
     run,
     step,
 )
+from sqgd import diagnostics, integrator
+from sqgd.diagnostics import SampleConfig, sample
 from sqgd.initial import random_smooth, single_mode
 from sqgd.integrator import _step_weights
+from sqgd.operators import velocity
 
-from helpers import conj_symmetry_error, etdrk2_step_oracle, linear_symbol
+from helpers import conj_symmetry_error, dealias, etdrk2_step_oracle, linear_symbol
 
 
 def l2_norm(field):
@@ -188,34 +192,29 @@ class TestStep:
 
 
 class TestCflDt:
-    def make_u(self, g, amp):
-        u = ScalarField(g, np.full((g.n, g.n), amp))
-        z = ScalarField(g, np.zeros((g.n, g.n)))
-        return u, z
-
     def test_quiescent_hits_cap(self):
         g = Grid(16)
         ctrl = StepControl(mode="cfl", cfl_number=0.5, dt_max=1.0)
-        assert cfl_dt(self.make_u(g, 0.0), g, ctrl) == 1.0
+        assert cfl_dt(0.0, g, ctrl) == 1.0
 
     def test_arithmetic(self):
         g = Grid(256)
         ctrl = StepControl(mode="cfl", cfl_number=0.5, dt_max=1.0)
-        dt = cfl_dt(self.make_u(g, 2.0), g, ctrl)
+        dt = cfl_dt(2.0, g, ctrl)
         assert dt == pytest.approx(0.5 * (2 * np.pi / 256) / 2.0, rel=1e-12)
         assert dt == pytest.approx(6.136e-3, rel=1e-3)
 
     def test_doubling_speed_halves_dt(self):
         g = Grid(64)
         ctrl = StepControl(mode="cfl", cfl_number=0.5, dt_max=10.0)
-        dt1 = cfl_dt(self.make_u(g, 1.0), g, ctrl)
-        dt2 = cfl_dt(self.make_u(g, 2.0), g, ctrl)
+        dt1 = cfl_dt(1.0, g, ctrl)
+        dt2 = cfl_dt(2.0, g, ctrl)
         assert dt1 == pytest.approx(2 * dt2, rel=1e-12)
 
     def test_requires_cfl_mode(self):
         g = Grid(16)
         with pytest.raises(ValueError):
-            cfl_dt(self.make_u(g, 1.0), g, StepControl(mode="fixed"))
+            cfl_dt(1.0, g, StepControl(mode="fixed"))
 
     def test_control_validation(self):
         with pytest.raises(ValueError):
@@ -302,6 +301,102 @@ class TestRun:
         state = SolverState(single_mode(g), 1.0, 0.0)
         with pytest.raises(ValueError):
             run(state, StepControl(), 0.5)
+
+
+class TestTendencyReuse:
+    def test_one_tendency_per_state(self, monkeypatch):
+        g = Grid(32)
+        theta0 = random_smooth(g, seed=2, k_max=8, target_linf=1.0)
+        evaluated, dts = [], []
+        real = integrator.advect_with_speed
+
+        def counted(theta):
+            evaluated.append(theta)
+            return real(theta)
+
+        def hook(state):
+            sample(state, SampleConfig(), 0)
+            dts.append(state.t)
+
+        monkeypatch.setattr(integrator, "advect_with_speed", counted)
+        monkeypatch.setattr(diagnostics, "advect", None)  # the budget must reuse it
+        out = run(SolverState(theta0, 0.0, 1.0),
+                  StepControl(mode="cfl", cfl_number=0.5, dt_max=0.05), 0.3,
+                  hook=hook, sample_every=0.1)
+        # every state stepped from, plus the final one the hook samples
+        assert len(evaluated) == out.step_count + 1
+        assert len({id(theta) for theta in evaluated}) == len(evaluated)
+        assert dts == pytest.approx([0.0, 0.1, 0.2, 0.3])
+
+    def test_cfl_uses_dealiased_speed(self, monkeypatch):
+        # noise has content outside the 2/3 band, where the full velocity
+        # is faster than the dealiased one the step advects with
+        g = Grid(32)
+        theta = ScalarField(g, np.random.default_rng(1).standard_normal((32, 32)))
+        dts = []
+        real = integrator.step
+        monkeypatch.setattr(integrator, "step",
+                            lambda state, dt, sign: dts.append(dt) or real(state, dt, sign))
+        run(SolverState(theta, 0.0, 0.0), StepControl(mode="cfl", cfl_number=0.5, dt_max=1.0), 1.0)
+        dealiased = max(c.linf() for c in velocity(dealias(theta)))
+        full = max(c.linf() for c in velocity(theta))
+        assert dts[0] == 0.5 * g.dx / dealiased
+        assert dealiased < 0.9 * full
+
+    def test_replace_drops_tendency(self):
+        g = Grid(16)
+        state = SolverState(single_mode(g), 0.0, 1.0)
+        field, _ = state.tendency
+        assert state.tendency[0] is field
+        other = replace(state, theta=ScalarField(g, np.cos(g.x2)))
+        assert other.tendency[0] is not field
+        assert state == replace(state, t=0.0)
+
+
+class TestBlowUpGuard:
+    def translating_mode(self):
+        # sin(x + pi/16) peaks midway between grid points; dispersion at
+        # A = 100 moves the peak onto one, so the grid sup norm rises
+        g = Grid(16)
+        theta0 = ScalarField(g, np.sin(g.x1 + np.pi / 16))
+        return SolverState(theta0, 0.0, 100.0), StepControl(mode="fixed", dt_fixed=1e-4)
+
+    def blow_up(self):
+        state, ctrl = self.translating_mode()
+        try:
+            run(state, ctrl, 0.01)
+        except BlowUpError as err:
+            return err.t, err.step_count
+        return None
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 1.005, 1.01, 1.019, 1.02, 1.1])
+    def test_same_step_as_exact_guard(self, monkeypatch, factor):
+        monkeypatch.setattr(integrator, "_BLOWUP_FACTOR", factor)
+        screened = self.blow_up()
+        monkeypatch.setattr(ScalarField, "linf_bound", lambda self: math.inf)
+        assert screened == self.blow_up()
+        if 1.0 < factor < 1.015:
+            assert screened[1] > 1
+
+    def test_trips_where_sup_norm_first_exceeds_limit(self, monkeypatch):
+        monkeypatch.setattr(integrator, "_BLOWUP_FACTOR", 1.005)
+        state, ctrl = self.translating_mode()
+        limit = 1.005 * state.theta.linf()
+        while state.theta.linf() <= limit:
+            state = step(state, 1e-4)
+        t, step_count = self.blow_up()
+        assert step_count == state.step_count
+        assert t == pytest.approx(state.t, abs=1e-15)
+
+    def test_healthy_run_never_computes_sup_norm(self, monkeypatch):
+        g = Grid(32)
+        state = SolverState(random_smooth(g, seed=3, k_max=8, target_linf=1.0), 0.0, 1.0)
+        calls = []
+        real = ScalarField.linf
+        monkeypatch.setattr(ScalarField, "linf", lambda self: calls.append(1) or real(self))
+        out = run(state, StepControl(mode="cfl", cfl_number=0.5, dt_max=0.02), 0.2)
+        assert out.step_count >= 10
+        assert len(calls) == 1  # the initial sup norm only
 
 
 class TestSelfConvergence:

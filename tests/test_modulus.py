@@ -451,6 +451,14 @@ class TestAuditBreakthrough:
         with pytest.raises(ValueError):
             audit_breakthrough(theta, -0.5, 1.0, P)
 
+    def test_sign_of_amplitude_does_not_matter(self):
+        # the dispersive increment and its bounds are nonnegative: |A| enters
+        theta = random_smooth(Grid(32), seed=8, k_max=8, target_linf=0.01)
+        b = minimal_b(theta, P).b_min * 1.001
+        plus = audit_breakthrough(theta, b, 2.0, P)
+        assert audit_breakthrough(theta, b, -2.0, P) == plus
+        assert plus.disp_measured > 0 and plus.disp_bound > 0
+
     @pytest.mark.parametrize("a", [math.nan, math.inf])
     def test_nonfinite_amplitude_rejected(self, a):
         theta = random_smooth(Grid(16), seed=0, k_max=4, target_linf=0.01)

@@ -4,21 +4,29 @@ brute-force convolution oracle."""
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
 from sqgd import (
     Grid,
     ScalarField,
     advect,
-    dealias,
-    divergence,
     gradient,
     half_laplacian,
-    integrate,
     riesz_transform,
     velocity,
 )
 from sqgd.initial import random_smooth, single_mode
+from sqgd.operators import advect_with_speed
 
-from helpers import advection_oracle, conj_symmetry_error, field_from_coeffs
+from helpers import (
+    advection_oracle,
+    conj_symmetry_error,
+    dealias,
+    divergence,
+    field_from_coeffs,
+    integrate,
+)
 
 
 @pytest.fixture(params=[16, 64])
@@ -64,6 +72,43 @@ class TestRoundTrip:
     def test_shape_validation(self, grid):
         with pytest.raises(ValueError):
             ScalarField(grid, np.zeros((grid.n, grid.n + 2)))
+
+
+@st.composite
+def half_spectra(draw):
+    """A finite half-spectrum at even n in [8, 64] whose k2 = 0 and
+    k2 = n/2 columns are nonzero; any complex values, symmetric or not."""
+    n = 2 * draw(st.integers(4, 32))
+    parts = draw(arrays(np.float64, (2, n, n // 2 + 1),
+                        elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
+    hat = parts[0] + 1j * parts[1]
+    for col in (0, n // 2):
+        row = draw(st.integers(0, n - 1))
+        hat[row, col] += draw(st.sampled_from([1.0, -2.5, 3j]))
+    return n, hat
+
+
+class TestWienerBound:
+    @settings(max_examples=200, deadline=None)
+    @given(half_spectra())
+    def test_bounds_grid_sup_norm(self, case):
+        n, hat = case
+        f = ScalarField.from_hat(Grid(n), hat)
+        # the bound is exact for one mode, so allow its rounding only
+        assert f.linf_bound() * (1 + 1e-12) >= f.linf()
+
+    def test_single_mode_is_tight(self):
+        g = Grid(16)
+        for f in (single_mode(g), ScalarField(g, np.cos(3 * g.x1 + 2 * g.x2)),
+                  ScalarField(g, np.full((16, 16), -2.0))):
+            assert f.linf_bound() == pytest.approx(f.linf(), rel=1e-14)
+
+    def test_counts_interior_columns_twice(self):
+        g = Grid(16)
+        f = ScalarField(g, np.cos(g.x1) + np.cos(g.x2) + np.cos(8 * g.x2))
+        # |c| / n^2 is 1/2 at k and at -k for cos(x1), cos(x2); the k2 = 8
+        # Nyquist column holds the whole cos(8 x2) once
+        assert f.linf_bound() == pytest.approx(3.0, rel=1e-14)
 
 
 class TestRieszTransform:
@@ -216,6 +261,17 @@ class TestAdvect:
         theta = random_smooth(g, seed=2, k_max=10, target_linf=1.0)
         out_hat = advect(theta).hat
         assert np.abs(out_hat[~g.dealias_mask]).max() == 0.0
+
+    @pytest.mark.parametrize("rough", [False, True], ids=["band-limited", "noise"])
+    def test_speed_is_dealiased_velocity_sup(self, rough):
+        # noise has content outside the 2/3 band, which the speed must not see
+        g = Grid(64)
+        theta = (ScalarField(g, np.random.default_rng(5).standard_normal((64, 64))) if rough
+                 else random_smooth(g, seed=5, k_max=12, target_linf=1.0))
+        out, speed = advect_with_speed(theta)
+        expected = max(c.linf() for c in velocity(dealias(theta)))
+        assert abs(speed - expected) <= 1e-14
+        assert np.array_equal(out.hat, advect(theta).hat)
 
 
 class TestIntegrate:
