@@ -85,7 +85,9 @@ def energy_budget(theta: ScalarField, A: float,
     """
     g = theta.grid
     vals = theta.values
-    nonlinear = float((vals * (advection or advect(theta)).values).sum()) * g.cell_area
+    # a field of its own, so that a caller's tendency keeps no point values
+    advection = ScalarField.from_hat(g, (advection or advect(theta)).hat)
+    nonlinear = float((vals * advection.values).sum()) * g.cell_area
     dispersive = A * float((vals * riesz_transform(theta, 1).values).sum()) * g.cell_area
 
     power = np.abs(theta.hat) ** 2

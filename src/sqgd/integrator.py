@@ -52,9 +52,8 @@ class SolverState:
 
     @cached_property
     def tendency(self) -> tuple[ScalarField, float]:
-        """``advect_with_speed(theta)``, computed on first read and kept (a
-        ``replace``d state starts without it): CFL control, the first
-        ETDRK2 stage and a sample's energy budget all read it."""
+        """``advect_with_speed(theta)``, computed on first read and kept (not by ``replace``):
+        CFL control, the first ETDRK2 stage and a sample's energy budget all read it."""
         return advect_with_speed(self.theta)
 
 
@@ -151,8 +150,7 @@ def step(state: SolverState, dt: float, advection_sign: int = 1) -> SolverState:
 
 
 def cfl_dt(speed: float, grid: Grid, ctrl: StepControl) -> float:
-    """CFL step: min(dt_max, cfl * dx / speed) for the largest velocity
-    component ``speed``, guarded for speed ~ 0."""
+    """CFL step min(dt_max, cfl * dx / speed) for the largest velocity component, floored at 1e-12."""
     if ctrl.mode != "cfl":
         raise ValueError("cfl_dt requires ctrl.mode == 'cfl'")
     return min(ctrl.dt_max, ctrl.cfl_number * grid.dx / max(speed, 1e-12))
