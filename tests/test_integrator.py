@@ -18,12 +18,12 @@ from sqgd import (
     linear_symbol_grid,
     run,
     step,
+    velocity,
 )
 from sqgd import diagnostics, integrator
 from sqgd.diagnostics import SampleConfig, sample
 from sqgd.initial import random_smooth, single_mode
 from sqgd.integrator import _step_weights
-from sqgd.operators import velocity
 
 from helpers import conj_symmetry_error, dealias, etdrk2_step_oracle, linear_symbol
 
