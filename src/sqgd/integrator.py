@@ -181,11 +181,12 @@ def run(
     if sample_every is not None and sample_every <= 0:
         raise ValueError("sample_every must be positive")
 
-    state = state0
+    # A copy, so that no tendency stays cached on the caller's state0.
+    state = replace(state0)
     if hook is not None:
         hook(state)
     if t_end == state0.t:
-        return state
+        return state0
 
     limit = _BLOWUP_FACTOR * state0.theta.linf()
     t0 = state0.t

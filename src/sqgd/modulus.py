@@ -38,9 +38,8 @@ The induced modulus for the Riesz-transform velocity is
 with Omega_B(xi) = Omega(B*xi) by a change of variables. The constant C is
 not pinned down by theory at this level of generality; it is exposed as
 ``c_omega`` (default 1) with a calibration helper, and audits report
-measured/bound ratios rather than asserting them. Its quadrature is the
-package's only use of SciPy, imported on the first call of velocity_modulus
-(from audit_breakthrough, calibrate_c_omega and ``sqgd audit``).
+measured/bound ratios rather than asserting them. Both integrals have
+closed forms, evaluated by velocity_modulus with numpy alone.
 """
 
 from __future__ import annotations
@@ -219,42 +218,43 @@ def scaled_modulus_slope(xi, b: float, p: ModulusParams):
     return b * modulus_slope(b * arr, p)
 
 
-def velocity_modulus(xi: float, p: ModulusParams) -> float:
-    """Modulus of continuity inherited by the Riesz velocity,
+def _scaled_e1(x):
+    """e^x E1(x) for x >= 4 from the continued fraction 1/(x + 1/(1 + 1/(x +
+    2/(1 + 2/(x + ...))))) of Abramowitz & Stegun 5.1.22, evaluated backward
+    from depth 40, where it has reached rounding level."""
+    tail = np.zeros_like(x)
+    for k in range(40, 0, -1):
+        tail = k / (1.0 + k / (x + tail))
+    return 1.0 / (x + tail)
 
-        Omega(xi) = c_omega * (I1 + I2),
-        I1 = int_0^xi omega(eta)/eta deta,
-        I2 = xi * int_xi^inf omega(eta)/eta^2 deta.
 
-    I1 uses the closed form xi - (2/3)*xi^{3/2} on the inner branch and
-    adaptive quadrature beyond delta. I2 is mapped to the unit interval by
-    eta = xi/t, giving int_0^1 omega(xi/t) dt, whose log-log growth at
-    t -> 0 is integrable; quadrature is anchored with breakpoints near 0.
-    Callers obtain Omega_B via the scaling identity Omega_B(xi) =
-    Omega(B*xi).
+def velocity_modulus(xi, p: ModulusParams):
+    """Omega(xi) of the module docstring in closed form; accepts scalars or arrays.
+
+    With c = omega(delta), xi_in = min(xi, delta), xi_out = max(xi, delta)
+    and s = log(xi_out/delta), Omega(xi) = c_omega * (near + xi * far), where
+
+        near = xi_in - (2/3) xi_in^{3/2} + c s + gamma ((4 + s) log(1 + s/4) - s),
+        far = log(delta/xi_in) - 2 (sqrt(delta) - sqrt(xi_in))
+              + (c + gamma (log(1 + s/4) + e^{4+s} E1(4 + s))) / xi_out
+
+    are int_0^xi omega(eta)/eta deta and int_xi^inf omega(eta)/eta^2 deta
+    (on the outer branch by eta = delta e^u and one integration by parts;
+    e^x E1(x) from Abramowitz & Stegun 5.1.22). Omega(0) = 0, and
+    Omega_B(xi) = Omega(B*xi).
     """
-    # Imported on first use: loading SciPy more than triples every command's start-up time.
-    from scipy.integrate import quad
-
-    x = float(_validate_separations(xi))
-    if x == 0.0:
-        return 0.0
-    d = p.delta
-    if x <= d:
-        near = x - (2.0 / 3.0) * x**1.5
-    else:
-        head = d - (2.0 / 3.0) * d**1.5
-        tail, _ = quad(lambda eta: modulus(eta, p) / eta, d, x,
-                       epsabs=1e-10, epsrel=1e-10, limit=400)
-        near = head + tail
-
-    breakpoints = [1e-8, 1e-4, 1e-2]
-    if x < d:
-        breakpoints.append(x / d)  # branch switch of omega(x/t) at t = x/delta
-    far, _ = quad(lambda t: modulus(x / t, p), 0.0, 1.0,
-                  epsabs=1e-9, epsrel=1e-9, limit=400,
-                  points=sorted(breakpoints))
-    return p.c_omega * (near + far)
+    arr = _validate_separations(xi)
+    d, g = p.delta, p.gamma
+    c = d - d**1.5
+    inner, outer = np.minimum(arr, d), np.maximum(arr, d)
+    s = np.log(outer / d)
+    log_s = np.log1p(s / 4.0)
+    near = inner - (2.0 / 3.0) * inner**1.5 + c * s + g * ((4.0 + s) * log_s - s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = (np.log(d / inner) - 2.0 * (math.sqrt(d) - np.sqrt(inner))
+               + (c + g * (log_s + _scaled_e1(4.0 + s))) / outer)
+        out = p.c_omega * np.where(arr > 0, near + arr * far, 0.0)
+    return out if arr.ndim else float(out)
 
 
 def breakthrough_b(a: float, d_bound: float, p: ModulusParams) -> float:
@@ -446,7 +446,5 @@ def calibrate_c_omega(thetas, p: ModulusParams, *, b_margin: float = 1e-3) -> fl
             continue
         b = cert.b_min * (1.0 + b_margin)
         _, _, xi, jump = map(np.concatenate, zip(*_class_blocks(riesz_transform(theta, 1))))
-        unique, inverse = np.unique(b * xi, return_inverse=True)
-        bounds = np.array([velocity_modulus(t, reference) for t in unique])[inverse]
-        worst = max(worst, float((jump / bounds).max()))
+        worst = max(worst, float((jump / velocity_modulus(b * xi, reference)).max()))
     return worst

@@ -1,18 +1,20 @@
 """Shared test oracles, deliberately independent of the library's
 computational paths: the advection oracle convolves coefficients with
-explicit loops instead of FFT products, the velocity-modulus oracle is
-a fixed-step Simpson rule with an analytic tail bracket instead of
-adaptive quadrature, the class-table oracle rolls the field through
-every displacement class and inverts omega by its own bisection, and the
-linear symbol and the ETDRK2 weights are evaluated one wavevector at a
-time with the scalar math library. The divergence, 2/3 truncation and
-rectangle-rule integral are the plain multiplier and sum forms."""
+explicit loops instead of FFT products, the velocity-modulus oracles are
+a fixed-step Simpson rule with an analytic tail bracket and a 30-digit
+mpmath quadrature of the defining integrals instead of the closed form,
+the class-table oracle rolls the field through every displacement class
+and inverts omega by its own bisection, and the linear symbol and the
+ETDRK2 weights are evaluated one wavevector at a time with the scalar
+math library. The divergence, 2/3 truncation and rectangle-rule
+integral are the plain multiplier and sum forms."""
 
 from __future__ import annotations
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 
 from sqgd import Grid, ScalarField, advect
@@ -192,6 +194,23 @@ def velocity_modulus_oracle(xi: float, p: ModulusParams, panels: int = 1_000_000
     tail_lo = xi * omega_cut / cut
     tail_hi = xi * (omega_cut + gamma_eff) / cut
     return p.c_omega * (near + far + tail_lo), p.c_omega * (near + far + tail_hi)
+
+
+def velocity_modulus_mp_oracle(xi: float, p: ModulusParams, dps: int = 30) -> float:
+    """The velocity modulus from its two defining integrals, by mpmath's
+    tanh-sinh quadrature at ``dps`` digits with the branch point delta
+    split out, rounded to the nearest double."""
+    with mpmath.workdps(dps):
+        g, d, x = mpmath.mpf(p.gamma), mpmath.mpf(p.delta), mpmath.mpf(xi)
+
+        def omega(e):
+            if e <= d:
+                return e - e**1.5
+            return d - d**1.5 + g * mpmath.log(1 + mpmath.log(e / d) / 4)
+
+        near = mpmath.quad(lambda e: omega(e) / e, sorted({mpmath.mpf(0), min(x, d), x}))
+        far = mpmath.quad(lambda e: omega(e) / e**2, sorted({x, max(x, d)}) + [mpmath.inf])
+        return float(p.c_omega * (near + x * far))
 
 
 def minimal_b_per_pair_oracle(theta: ScalarField, p: ModulusParams) -> float:

@@ -407,11 +407,15 @@ class TestCmdAudit:
 
 
 # Runs `run` and `certify` in a fresh interpreter, prints the SciPy modules
-# they loaded, then audits the last snapshot at 1.001 times its b_min.
+# they loaded, audits the last snapshot at 1.001 times its b_min, and prints
+# the SciPy modules loaded by then.
 FRESH_CLI = """\
 import sys
 from pathlib import Path
 import sqgd, sqgd.cli
+
+def print_scipy_modules():
+    print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 
 out = Path(sys.argv[1])
 snapshot = str(out / "snapshot_000001.sqgd")
@@ -419,9 +423,11 @@ assert sqgd.cli.main(["run", "--output-dir", str(out), "--n", "16", "--t-end", "
                       "--sample-every", "0.1", "--init-kmax", "4",
                       "--init-linf", "0.01", "--certify-every", "1"]) == 0
 assert sqgd.cli.main(["certify", snapshot]) == 0
-print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+print_scipy_modules()
 b_min = float((out / "diagnostics.csv").read_text().split(",")[-1])
-sys.exit(sqgd.cli.main(["audit", snapshot, "--B", repr(b_min * 1.001)]))
+code = sqgd.cli.main(["audit", snapshot, "--B", repr(b_min * 1.001)])
+print_scipy_modules()
+sys.exit(code)
 """
 
 
@@ -436,7 +442,7 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert (tmp_path / "o" / "diagnostics.csv").exists()
 
-    def test_only_audit_loads_scipy(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         out = tmp_path / "o"
         result = subprocess.run([sys.executable, "-c", FRESH_CLI, str(out)],
                                 capture_output=True, text=True)
@@ -453,4 +459,5 @@ class TestEntryPoint:
             ",".join(f"{v:.17g}" for v in [
                 rep.xi, rep.lhs_breakthrough, rep.derivative_bound, rep.disp_measured,
                 rep.disp_bound, rep.disp_ratio, rep.saturation]),
+            "[]",  # nor after audit
         ]

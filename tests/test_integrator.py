@@ -343,6 +343,13 @@ class TestTendencyReuse:
         assert dts[0] == 0.5 * g.dx / dealiased
         assert dealiased < 0.9 * full
 
+    def test_caller_state_keeps_no_tendency(self):
+        g = Grid(32)
+        state0 = SolverState(random_smooth(g, seed=2, k_max=8, target_linf=1.0), 0.0, 1.0)
+        run(state0, StepControl(mode="cfl", cfl_number=0.5, dt_max=0.05), 0.2,
+            hook=lambda state: sample(state, SampleConfig(), 0), sample_every=0.1)
+        assert "tendency" not in vars(state0)
+
     def test_replace_drops_tendency(self):
         g = Grid(16)
         state = SolverState(single_mode(g), 0.0, 1.0)

@@ -32,6 +32,7 @@ from helpers import (
     minimal_b_per_pair_oracle,
     omega_inverse_oracle,
     omega_oracle,
+    velocity_modulus_mp_oracle,
     velocity_modulus_oracle,
 )
 
@@ -212,6 +213,24 @@ class TestVelocityModulus:
                         epsabs=1e-12, epsrel=1e-11, limit=500)[0]
         direct = P.c_omega * (near + far)
         assert velocity_modulus(b * xi, P) == pytest.approx(direct, abs=1e-8)
+
+    @pytest.mark.parametrize("params", [
+        P, ModulusParams(gamma=0.05, delta=0.2), ModulusParams(gamma=0.002, delta=0.3, c_omega=2.5),
+    ], ids=["default", "wide", "flat"])
+    def test_against_mpmath(self, params):
+        d = params.delta
+        for xi in [1e-6, 1e-4, 3e-3, d / 2, d, 1.001 * d, 0.7, 3.0, 50.0]:
+            assert velocity_modulus(xi, params) == pytest.approx(
+                velocity_modulus_mp_oracle(xi, params), rel=1e-14, abs=0.0)
+
+    def test_array_input(self):
+        xi = np.array([[0.0, 1e-6, 0.3 * P.delta], [P.delta, 0.1, 40.0]])
+        out = velocity_modulus(xi, P)
+        assert out.shape == xi.shape
+        assert out[0, 0] == 0.0
+        assert np.array_equal(out, [[velocity_modulus(float(x), P) for x in row] for row in xi])
+        with pytest.raises(ValueError):
+            velocity_modulus(np.array([0.1, -1e-9, 0.2]), P)
 
     def test_c_omega_scales_linearly(self):
         doubled = replace(P, c_omega=2.0)
