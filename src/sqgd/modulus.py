@@ -27,8 +27,23 @@ in blocks, vectorized over classes, in order of increasing |h|. No class
 has J above the oscillation osc = max theta - min theta, so the b_min
 scan stops once |h| >= omega^{-1}(osc)/b_min-so-far, and the least-slack
 scan behind check_modulus and audit_breakthrough stops once
-omega(B|h|) - osc reaches the least slack found. Both stops leave the
-result unchanged; calibrate_c_omega scans every class.
+omega(B|h|) - osc reaches the least slack found.
+
+Before those stops, subadditivity skips most classes. For a unit step e
+toward the origin, theta(x+h) - theta(x) = [theta(x+h) - theta(x+e)] +
+[theta(x+e) - theta(x)] gives J(h) <= J(h - e) + J(e), so the bound
+
+    U(h) = min(osc, min_e (U(h - e) + U(e)) * (1 + 1e-9)),
+
+read from classes of earlier blocks (U = J where J was computed), is at
+least J(h). A computed increment is the exact one rounded once, so the
+inequality holds for computed increments up to a relative 2^-51, which
+the margin 1e-9 covers. Each scan computes J only where U could still
+change its result: b_min where U(h) >= omega(b|h|) * (1 - 1e-9) for the
+largest ratio b found, the least slack where
+omega_B(|h|) * (1 - 1e-9) - U(h) is below the least slack found. Both
+rules and both stops leave the result unchanged, bit for bit.
+calibrate_c_omega computes J for every class.
 
 The induced modulus for the Riesz-transform velocity is
 
@@ -44,6 +59,7 @@ closed forms, evaluated by velocity_modulus with numpy alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -60,6 +76,9 @@ _CHECK_TOL = 1e-12
 _NEWTON_STEPS = 12
 # Elements of the (classes, n, n) increment array of one scan block.
 _BLOCK_ELEMENTS = 1 << 18
+# Relative margin of the class-increment bounds and of the rules that
+# skip classes by them; rounding errs by a few 1e-16.
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -278,42 +297,77 @@ def breakthrough_b(a: float, d_bound: float, p: ModulusParams) -> float:
 # Displacement-class scans
 
 
-def _classes(n: int, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=4)
+def _classes(n: int, dx: float) -> tuple[np.ndarray, ...]:
     """Nonzero displacement classes (di, dj) with their torus separations,
-    sorted by separation.
+    sorted by separation, and the classes each one's bound reads.
 
     Classes h and -h = (n - di, n - dj) hold the same unordered pairs, so
     one of each is kept: all dj for 0 < di < n/2, and dj <= n/2 on the
     rows di = 0 and di = n/2, which are their own mirror images.
+
+    With s = (sign(a), sign(b)) for the wrapped signed offsets (a, b) of h,
+    the unit steps e are (s1, 0), (0, s2) and (s1, s2); row k of ``pred``
+    holds the class of h - e and row k of ``unit`` the class of e. A zero
+    step has e, and a step to the origin has h - e, at the sentinel index
+    ``xi.size``, whose bound is +inf.
     """
+    # The cached arrays are allocated before the temporaries that fill
+    # them, so they do not sit above freed memory on the heap and keep it
+    # resident.
+    size = n * n // 2 + 1
+    table, xi = np.empty((8, size), np.int32), np.empty(size)
     di, dj = np.meshgrid(np.arange(n // 2 + 1), np.arange(n), indexing="ij")
     keep = (di % (n // 2) != 0) | (dj <= n // 2)
     keep[0, 0] = False
     di, dj = di[keep], dj[keep]
     off = np.minimum(np.arange(n), n - np.arange(n)) * dx
-    xi = np.hypot(off[di], off[dj])
-    order = np.argsort(xi, kind="stable")
-    return di[order], dj[order], xi[order]
+    sep = np.hypot(off[di], off[dj])
+    order = np.argsort(sep, kind="stable")
+    di, dj, xi[:] = di[order], dj[order], sep[order]
+    # index[i, j]: the class of offset (i, j), which is also that of (-i, -j).
+    index = np.full((n, n), size)
+    index[di, dj] = index[-di % n, -dj % n] = np.arange(size)
+    s1, s2 = np.sign(di), np.sign(np.where(dj <= n // 2, dj, dj - n))
+    table[0], table[1] = di, dj
+    for k, (e1, e2) in enumerate(((s1, 0), (0, s2), (s1, s2))):
+        table[2 + k] = index[(di - e1) % n, (dj - e2) % n]
+        table[5 + k] = index[e1 % n, e2 % n]
+    table.flags.writeable = xi.flags.writeable = False  # shared by every caller
+    return table[0], table[1], xi, table[2:5], table[5:]
 
 
-def _class_blocks(theta: ScalarField):
+def _class_blocks(theta: ScalarField, keep):
     """Yield (di, dj, xi, jump) arrays block by block, in order of
-    increasing separation xi, with jump the class increment
-    J(h) = max_x |theta(x + h) - theta(x)|."""
+    increasing separation xi. ``jump`` holds the class increment
+    J(h) = max_x |theta(x + h) - theta(x)| for the classes that
+    ``keep(xi, upper)`` selects and the subadditive bound ``upper`` >= J(h)
+    of the module docstring for the others, so a caller whose keep rule
+    passes every class that could change its result gets that result
+    exactly. The bounds of a block read only earlier blocks.
+    """
     vals = theta.values
     n = theta.grid.n
-    di, dj, xi = _classes(n, theta.grid.dx)
+    di, dj, xi, pred, unit = _classes(n, theta.grid.dx)
+    osc = float(vals.max() - vals.min())
+    bound = np.full(xi.size + 1, math.inf)
     # windows[r, s, j] = vals[r, (s + j) % n], a view of the doubled rows.
     windows = sliding_window_view(np.concatenate([vals, vals], axis=1), n, axis=1)
     rows = np.arange(n)
     size = max(1, _BLOCK_ELEMENTS // (n * n))
     for start in range(0, xi.size, size):
-        blk = slice(start, start + size)
+        blk = slice(start, min(start + size, xi.size))
+        via = (bound[pred[:, blk]] + bound[unit[:, blk]]).min(axis=0)
+        upper = np.minimum(osc, via * (1.0 + _PRUNE_MARGIN))
+        sel = np.flatnonzero(keep(xi[blk], upper))
+        cls = start + sel
         # shifted[c, i, j] = vals[i - di[c], j - dj[c]] (indices mod n)
-        shifted = windows[(rows - di[blk, None]) % n, ((n - dj[blk]) % n)[:, None]]
+        shifted = windows[(rows - di[cls, None]) % n, ((n - dj[cls]) % n)[:, None]]
         np.subtract(shifted, vals, out=shifted)
         np.abs(shifted, out=shifted)
-        yield di[blk], dj[blk], xi[blk], shifted.reshape(shifted.shape[0], -1).max(axis=1)
+        upper[sel] = shifted.reshape(sel.size, n * n).max(axis=1)
+        bound[blk] = upper
+        yield di[blk], dj[blk], xi[blk], upper
 
 
 def _witness(theta: ScalarField, di: int, dj: int, xi: float, b: float,
@@ -335,12 +389,18 @@ def _worst_pair(theta: ScalarField, b: float, p: ModulusParams) -> PairWitness:
 
     omega_B(|h|) - osc bounds the slack of class h from below and grows
     with |h|, so the scan stops once it reaches the least slack found.
+    Before that, classes with omega_B(|h|) * (1 - margin) - U(h) >= least
+    keep their bound U (see _class_blocks): their slack is no smaller.
     """
     if not 0.0 <= b < math.inf:
         raise ValueError("modulus scaling must be finite and nonnegative")
     osc = float(theta.values.max() - theta.values.min())
     least = math.inf
-    for di, dj, xi, jump in _class_blocks(theta):
+
+    def keep(xi, upper):
+        return scaled_modulus(xi, b, p) * (1.0 - _PRUNE_MARGIN) - upper < least
+
+    for di, dj, xi, jump in _class_blocks(theta, keep):
         if scaled_modulus(xi[0], b, p) - osc >= least:
             break
         slack = scaled_modulus(xi, b, p) - jump
@@ -367,6 +427,9 @@ def minimal_b(theta: ScalarField, p: ModulusParams) -> ModulusCertificate:
 
     Every class has J(h) <= osc, the oscillation of theta, so the scan
     stops once |h| * b >= omega^{-1}(osc) for the largest ratio b found.
+    Before that, classes with U(h) < omega(b|h|) * (1 - margin) keep their
+    bound U (see _class_blocks): their ratio is smaller. The test is made
+    in J-space, so it does not rest on omega^{-1} being monotone.
     Constant fields certify at b_min = 0. Returns b_min = +inf, with slack
     -inf, when no representable scaling passes: omega^{-1}(J(h))
     overflows float64 (J about 0.069 at default parameters).
@@ -377,7 +440,11 @@ def minimal_b(theta: ScalarField, p: ModulusParams) -> ModulusCertificate:
         return ModulusCertificate(b_min=0.0, witness=None, slack=0.0)
     reach = modulus_inverse(osc, p)
     best = 0.0
-    for di, dj, xi, jump in _class_blocks(theta):
+
+    def keep(xi, upper):
+        return upper >= scaled_modulus(xi, best, p) * (1.0 - _PRUNE_MARGIN)
+
+    for di, dj, xi, jump in _class_blocks(theta, keep):
         if xi[0] * best >= reach:
             break
         ratio = modulus_inverse(jump, p) / xi
@@ -445,6 +512,7 @@ def calibrate_c_omega(thetas, p: ModulusParams, *, b_margin: float = 1e-3) -> fl
         if cert.b_min == 0.0 or math.isinf(cert.b_min):
             continue
         b = cert.b_min * (1.0 + b_margin)
-        _, _, xi, jump = map(np.concatenate, zip(*_class_blocks(riesz_transform(theta, 1))))
+        blocks = _class_blocks(riesz_transform(theta, 1), lambda xi, upper: np.ones(xi.size, bool))
+        _, _, xi, jump = map(np.concatenate, zip(*blocks))
         worst = max(worst, float((jump / velocity_modulus(b * xi, reference)).max()))
     return worst

@@ -62,13 +62,18 @@ def advect(theta: ScalarField) -> ScalarField:
     convolution values, so the discrete quadratic form
     integral(theta * advect(theta)) vanishes to rounding for any input.
     """
-    return advect_with_speed(theta)[0]
+    return _advection(theta)[0]
 
 
 def advect_with_speed(theta: ScalarField) -> tuple[ScalarField, float]:
     """(advect(theta), max |u1|, |u2| over the grid for the dealiased u it uses)."""
+    product, u1, u2 = _advection(theta)
+    return product, float(max(u1.max(), -u1.min(), u2.max(), -u2.min()))
+
+
+def _advection(theta: ScalarField) -> tuple[ScalarField, np.ndarray, np.ndarray]:
+    """advect(theta) with the point values of the dealiased velocity it uses."""
     g = theta.grid
     u1, u2, t_x, t_y = (np.fft.irfft2(m * theta.hat, s=(g.n, g.n)) for m in g.adv)
-    speed = max(u1.max(), -u1.min(), u2.max(), -u2.min())
     product_hat = np.fft.rfft2(u1 * t_x + u2 * t_y)
-    return ScalarField.from_hat(g, product_hat * g.dealias_mask), float(speed)
+    return ScalarField.from_hat(g, product_hat * g.dealias_mask), u1, u2

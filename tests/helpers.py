@@ -4,7 +4,10 @@ explicit loops instead of FFT products, the velocity-modulus oracles are
 a fixed-step Simpson rule with an analytic tail bracket and a 30-digit
 mpmath quadrature of the defining integrals instead of the closed form,
 the class-table oracle rolls the field through every displacement class
-and inverts omega by its own bisection, and the linear symbol and the
+and inverts omega by its own bisection, the every-class reference scan
+rolls the field through every class and keeps no bound (it shares only
+omega and its inverse with the library, so that results compare bit for
+bit), and the linear symbol and the
 ETDRK2 weights are evaluated one wavevector at a time with the scalar
 math library. The divergence, 2/3 truncation and rectangle-rule
 integral are the plain multiplier and sum forms."""
@@ -13,12 +16,20 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 
 from sqgd import Grid, ScalarField, advect
-from sqgd.modulus import ModulusParams, modulus
+from sqgd.modulus import (
+    ModulusCertificate,
+    ModulusParams,
+    PairWitness,
+    modulus,
+    modulus_inverse,
+    scaled_modulus,
+)
 
 
 def conj_symmetry_error(hat: np.ndarray) -> float:
@@ -298,3 +309,62 @@ def class_table_oracle(theta: ScalarField) -> tuple[np.ndarray, np.ndarray]:
             jumps.append(float(np.abs(vals - np.roll(rolled, dj, axis=1)).max()))
             seps.append(dx * np.hypot(min(di, n - di), min(dj, n - dj)))
     return np.array(seps), np.array(jumps)
+
+
+def class_scan_reference(theta: ScalarField) -> tuple[np.ndarray, ...]:
+    """(di, dj, xi, jump) of every displacement class in the certificate's
+    scan order, each increment max |theta - roll(theta, (di, dj))| taken
+    by explicit np.roll.
+
+    One class of each pair {h, -h} is listed: 0 <= di <= n/2, with
+    dj <= n/2 on the rows di = 0 and di = n/2. They are sorted by the
+    separation hypot(min(di, n - di) dx, min(dj, n - dj) dx), ties by
+    (di, dj).
+    """
+    n, dx, vals = theta.grid.n, theta.grid.dx, theta.values
+    table = []
+    for di in range(n // 2 + 1):
+        rolled = np.roll(vals, di, axis=0)
+        for dj in range(n):
+            if (di == 0 or di == n // 2) and dj > n // 2 or di == dj == 0:
+                continue
+            xi = np.hypot(min(di, n - di) * dx, min(dj, n - dj) * dx)
+            table.append((xi, di, dj, np.abs(vals - np.roll(rolled, dj, axis=1)).max()))
+    table.sort(key=lambda row: row[:3])
+    xi, di, dj, jump = (np.array(col) for col in zip(*table))
+    return di, dj, xi, jump
+
+
+def _roll_witness(theta: ScalarField, di: int, dj: int, xi: float, b: float,
+                  p: ModulusParams) -> PairWitness:
+    """First pair (in row-major order of y) of largest increment in class
+    (di, dj), z = y - (di, dj), with its slack under omega_B."""
+    n = theta.grid.n
+    jumps = np.abs(theta.values - np.roll(theta.values, (di, dj), axis=(0, 1)))
+    iy, jy = np.unravel_index(int(np.argmax(jumps)), jumps.shape)
+    jump = float(jumps[iy, jy])
+    return PairWitness(y=(int(iy), int(jy)), z=(int((iy - di) % n), int((jy - dj) % n)),
+                       xi=float(xi), jump=jump, slack=float(scaled_modulus(xi, b, p)) - jump)
+
+
+def certificate_reference(theta: ScalarField, p: ModulusParams, scan) -> ModulusCertificate:
+    """b_min = max over every class of omega^{-1}(J)/xi, its witness from
+    the first class in scan order that attains it; slack -inf when b_min
+    is +inf. ``scan`` is :func:`class_scan_reference` of theta, which
+    must not be constant."""
+    di, dj, xi, jump = scan
+    ratio = modulus_inverse(jump, p) / xi
+    k = int(np.argmax(ratio))
+    b = float(ratio[k])
+    worst = _roll_witness(theta, int(di[k]), int(dj[k]), xi[k], b, p)
+    if math.isinf(b):
+        worst = replace(worst, slack=-math.inf)
+    return ModulusCertificate(b_min=b, witness=worst, slack=worst.slack)
+
+
+def worst_pair_reference(theta: ScalarField, b: float, p: ModulusParams, scan) -> PairWitness:
+    """Pair of least slack omega_B(xi) - J over every class, from the
+    first class in scan order that attains it."""
+    di, dj, xi, jump = scan
+    k = int(np.argmin(scaled_modulus(xi, b, p) - jump))
+    return _roll_witness(theta, int(di[k]), int(dj[k]), xi[k], b, p)

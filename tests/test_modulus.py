@@ -1,12 +1,14 @@
 """Modulus family, velocity modulus, certificates, and breakthrough audits,
 checked against closed forms and independent quadrature/per-pair oracles."""
 
+import importlib
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from sqgd import (
@@ -21,6 +23,7 @@ from sqgd import (
     modulus,
     modulus_inverse,
     modulus_slope,
+    riesz_transform,
     scaled_modulus,
     scaled_modulus_slope,
     velocity_modulus,
@@ -28,15 +31,20 @@ from sqgd import (
 from sqgd.initial import random_smooth
 
 from helpers import (
+    certificate_reference,
+    class_scan_reference,
     class_table_oracle,
     minimal_b_per_pair_oracle,
     omega_inverse_oracle,
     omega_oracle,
     velocity_modulus_mp_oracle,
     velocity_modulus_oracle,
+    worst_pair_reference,
 )
 
 P = ModulusParams()  # gamma=0.01, delta=0.02, c_omega=1
+WIDE = ModulusParams(gamma=0.05, delta=0.4)  # the largest admissible delta
+MODULUS = importlib.import_module("sqgd.modulus")  # the name sqgd.modulus is the function
 AT_DELTA = P.delta - P.delta**1.5  # omega(delta), where the branches meet
 
 
@@ -327,6 +335,58 @@ class TestExactCertificate:
         assert -rep.lhs_breakthrough == pytest.approx(expected, rel=1e-12, abs=1e-16)
 
 
+def _scan_field(g: Grid, kind: str, scale: float, seed: int) -> ScalarField:
+    """A field of the given kind. ``rounding`` is a trapezoid ramp whose
+    increments are exact except at one corner, where J(1,0) and J(0,1)
+    round down and J(1,1) up, so their rounded sum falls an ulp short."""
+    n = g.n
+    if kind == "rounding":
+        f = np.minimum(np.arange(n), n - 1 - np.arange(n)).astype(float)
+        vals = 0.5 * f[:, None] + f[None, :] - 0.5
+        vals[0, 0], vals[1, 0], vals[0, 1] = -0.5 - 2.0**-52, -5 * 2.0**-56, 0.5 - 2.0**-53
+        return ScalarField(g, vals)
+    amp = scale * {"smooth": 0.008, "noise": 0.003, "overflow": 0.1}[kind]
+    if kind == "noise":
+        return ScalarField(g, amp * np.random.default_rng(seed).standard_normal((n, n)))
+    return random_smooth(g, seed=seed, k_max=min(8, n // 3), target_linf=amp)
+
+
+class TestPrunedScan:
+    """The pruned class scan against an every-class reference scan by
+    np.roll, bit for bit, at the default block size and at one class per
+    block (where every class reads the bounds of its predecessors)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([16, 32, 96]),
+           kind=st.sampled_from(["smooth", "noise", "overflow", "rounding"]),
+           wide=st.booleans(), one_per_block=st.booleans(),
+           factor=st.sampled_from([0.5, 1.001]), seed=st.integers(0, 2**32 - 1))
+    @example(n=16, kind="rounding", wide=False, one_per_block=True, factor=1.001, seed=0)
+    @example(n=96, kind="noise", wide=False, one_per_block=False, factor=1.001, seed=0)
+    @example(n=96, kind="smooth", wide=True, one_per_block=False, factor=0.5, seed=0)
+    def test_matches_every_class_scan(self, n, kind, wide, one_per_block, factor, seed):
+        p = WIDE if wide else P
+        g = Grid(n)
+        theta = _scan_field(g, kind, 25.0 if wide else 1.0, seed)
+        scan = class_scan_reference(theta)
+        block = n * n if one_per_block else MODULUS._BLOCK_ELEMENTS
+        with mock.patch.object(MODULUS, "_BLOCK_ELEMENTS", block):
+            cert = minimal_b(theta, p)
+            b = cert.b_min * factor if math.isfinite(cert.b_min) else 40.0
+            ok, worst = check_modulus(theta, b, p)
+            rep = audit_breakthrough(theta, b, 2.0, p)
+            # every bound is rigorous when only the axis unit classes are computed
+            blocks = MODULUS._class_blocks(theta, lambda xi, upper: xi <= g.dx)
+            bounds = np.concatenate([jump for *_, jump in blocks])
+        assert cert == certificate_reference(theta, p, scan)
+        assert worst == worst_pair_reference(theta, b, p, scan)
+        assert ok == (worst.slack >= -1e-12)
+        u2 = riesz_transform(theta, 1).values
+        assert (rep.xi, rep.lhs_breakthrough) == (worst.xi, -worst.slack)
+        assert rep.disp_measured == 2.0 * abs(float(u2[worst.y]) - float(u2[worst.z]))
+        assert np.all(bounds >= scan[3])
+
+
 class TestMinimalB:
     def test_constant_field(self):
         g = Grid(16)
@@ -456,7 +516,6 @@ class TestAuditBreakthrough:
         cert = minimal_b(theta, P)
         b = cert.b_min * 1.001
         rep = audit_breakthrough(theta, b, 2.0, P)
-        from sqgd import riesz_transform
         u2 = riesz_transform(theta, 1).values
         w = cert.witness
         measured = 2.0 * abs(u2[w.y] - u2[w.z])
@@ -502,3 +561,10 @@ class TestCalibration:
             cert = minimal_b(fresh, calibrated)
             rep = audit_breakthrough(fresh, cert.b_min * 1.001, 2.0, calibrated)
             assert rep.disp_ratio <= 1.0
+
+    def test_corpus_value_pinned(self):
+        # calibration needs every class of the velocity field: a scan that
+        # pruned any would move this value
+        g = Grid(32)
+        corpus = [random_smooth(g, seed=s, k_max=8, target_linf=0.01) for s in range(8)]
+        assert calibrate_c_omega(corpus, P) == float.fromhex("0x1.22c40c54e21dcp-2")
