@@ -37,7 +37,6 @@ from .modulus import (
     calibrate_c_omega,
     check_modulus,
     minimal_b,
-    modulus,
     modulus_inverse,
     modulus_slope,
     scaled_modulus,

@@ -20,7 +20,7 @@ import os
 import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import RunConfig, build_config
@@ -29,10 +29,8 @@ from .fields import ScalarField
 from .grid import Grid
 from .initial import gaussian_bump, random_smooth, single_mode, two_mode
 from .integrator import BlowUpError, SolverState, run
-from .modulus import ModulusParams, audit_breakthrough, minimal_b
+from .modulus import AuditReport, ModulusParams, audit_breakthrough, minimal_b
 from .snapshot import SnapshotError, read_snapshot, write_atomic, write_snapshot
-
-CSV_HEADER = "t,l2,linf,max_grad,mean,nonlinear_flux,dispersive_flux,dissipation,b_min"
 
 _L2_SLACK = 1e-8
 
@@ -45,14 +43,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _record_row(rec: DiagnosticsRecord) -> str:
-    cells = [
-        _fmt(rec.t), _fmt(rec.l2), _fmt(rec.linf), _fmt(rec.max_grad),
-        _fmt(rec.mean), _fmt(rec.nonlinear_flux), _fmt(rec.dispersive_flux),
-        _fmt(rec.dissipation),
-        "" if rec.b_min is None else _fmt(rec.b_min),
-    ]
-    return ",".join(cells)
+def _csv_lines(cls: type, records: list) -> list[str]:
+    """Header and rows of ``cls`` records, one column per field in
+    declaration order; a ``b_min`` of None is the one blank cell."""
+    names = [f.name for f in fields(cls)]
+    lines = [",".join(names)]
+    for rec in records:
+        cells = ["" if name == "b_min" and getattr(rec, name) is None
+                 else _fmt(getattr(rec, name)) for name in names]
+        lines.append(",".join(cells))
+    return lines
 
 
 def _csv_bytes(lines: list[str]) -> bytes:
@@ -60,7 +60,7 @@ def _csv_bytes(lines: list[str]) -> bytes:
 
 
 def write_diagnostics_csv(path: Path, records: list[DiagnosticsRecord]) -> None:
-    write_atomic(path, _csv_bytes([CSV_HEADER] + [_record_row(rec) for rec in records]))
+    write_atomic(path, _csv_bytes(_csv_lines(DiagnosticsRecord, records)))
 
 
 def make_initial(cfg: RunConfig, grid: Grid) -> ScalarField:
@@ -108,7 +108,7 @@ def execute_run(cfg: RunConfig) -> list[DiagnosticsRecord]:
 
     try:
         run(state0, cfg.step_control(), cfg.t_end, hook=hook,
-            sample_every=cfg.sample_every, advection_sign=cfg.advection_sign)
+            sample_every=cfg.sample_every)
     finally:
         write_diagnostics_csv(out / "diagnostics.csv", records)
     return records
@@ -148,7 +148,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int)
     parser.add_argument("--t-end", type=float, dest="t_end")
     parser.add_argument("--A", type=float, dest="A")
-    parser.add_argument("--advection-sign", type=int, dest="advection_sign")
     parser.add_argument("--step-mode", dest="step_mode", choices=["fixed", "cfl"])
     parser.add_argument("--dt-fixed", type=float, dest="dt_fixed")
     parser.add_argument("--cfl-number", type=float, dest="cfl_number")
@@ -287,12 +286,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     except (SnapshotError, ValueError, OSError) as exc:
         print(f"audit failed: {exc}", file=sys.stderr)
         return 2
-    print("xi,lhs_breakthrough,derivative_bound,disp_measured,disp_bound,disp_ratio,saturation")
-    print(",".join(_fmt(v) for v in [
-        report.xi, report.lhs_breakthrough, report.derivative_bound,
-        report.disp_measured, report.disp_bound, report.disp_ratio,
-        report.saturation,
-    ]))
+    print("\n".join(_csv_lines(AuditReport, [report])))
     return 0
 
 

@@ -15,6 +15,7 @@ from typing import Any
 from .integrator import StepControl
 from .modulus import ModulusParams
 
+_STEP_DEFAULTS = StepControl()
 _MODULUS_DEFAULTS = ModulusParams()
 _FINITE_FIELDS = ("t_end", "A", "sample_every", "init_slope", "init_linf", "init_width")
 
@@ -25,12 +26,11 @@ class RunConfig:
     n: int = 64
     t_end: float = 1.0
     A: float = 0.0
-    advection_sign: int = 1
     # time stepping
-    step_mode: str = "cfl"
-    dt_fixed: float = 1e-3
-    cfl_number: float = 0.5
-    dt_max: float = 0.01
+    step_mode: str = _STEP_DEFAULTS.mode
+    dt_fixed: float = _STEP_DEFAULTS.dt_fixed
+    cfl_number: float = _STEP_DEFAULTS.cfl_number
+    dt_max: float = _STEP_DEFAULTS.dt_max
     # modulus family
     gamma: float = _MODULUS_DEFAULTS.gamma
     delta: float = _MODULUS_DEFAULTS.delta
@@ -54,8 +54,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
-        if self.advection_sign not in (1, -1):
-            raise ValueError("advection_sign must be +1 or -1")
         if self.sample_every <= 0:
             raise ValueError("sample_every must be positive")
         if self.certify_every < 0:

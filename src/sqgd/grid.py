@@ -29,7 +29,6 @@ class Grid:
     Derived arrays (set once in ``__post_init__``):
 
     - ``dx``            grid spacing 2*pi/n
-    - ``x``             1d coordinates, shape (n,)
     - ``x1``, ``x2``    coordinate meshes, first/second axis
     - ``ik1``, ``ik2``  spectral derivative multipliers i*k_j
     - ``k1_over_k``, ``k2_over_k``  real Riesz-transform ratios k_j/|k|
@@ -66,7 +65,6 @@ class Grid:
 
         set_ = object.__setattr__
         set_(self, "dx", dx)
-        set_(self, "x", x)
         set_(self, "x1", np.broadcast_to(x[:, None], (n, n)).copy())
         set_(self, "x2", np.broadcast_to(x[None, :], (n, n)).copy())
         set_(self, "ik1", 1j * k1 * keep)

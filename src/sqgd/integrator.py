@@ -66,7 +66,7 @@ class StepControl:
     mode: str = "cfl"
     dt_fixed: float = 1e-3
     cfl_number: float = 0.5
-    dt_max: float = 0.05
+    dt_max: float = 0.01
 
     def __post_init__(self) -> None:
         if self.mode not in ("fixed", "cfl"):
@@ -118,10 +118,10 @@ def _step_weights(grid: Grid, A: float, dt: float) -> tuple[np.ndarray, np.ndarr
     return weights
 
 
-def step(state: SolverState, dt: float, advection_sign: int = 1) -> SolverState:
+def step(state: SolverState, dt: float) -> SolverState:
     """Advance one ETDRK2 step of size dt.
 
-    With N the (sign-adjusted) spectral advection term and z = L*dt:
+    With N the spectral advection term and z = L*dt:
 
         a      = e^z theta_hat + dt phi1(z) N(theta)
         theta' = a + dt phi2(z) (N(a) - N(theta))
@@ -138,9 +138,9 @@ def step(state: SolverState, dt: float, advection_sign: int = 1) -> SolverState:
     grid = state.theta.grid
     propagator, w1, w2 = _step_weights(grid, state.A, dt)
 
-    n0 = advection_sign * state.tendency[0].hat
+    n0 = state.tendency[0].hat
     a_hat = propagator * state.theta.hat + w1 * n0
-    n1 = advection_sign * advect(ScalarField.from_hat(grid, a_hat)).hat
+    n1 = advect(ScalarField.from_hat(grid, a_hat)).hat
     new_hat = a_hat + w2 * (n1 - n0)
 
     if not np.isfinite(new_hat).all():
@@ -162,7 +162,6 @@ def run(
     t_end: float,
     hook: Callable[[SolverState], None] | None = None,
     sample_every: float | None = None,
-    advection_sign: int = 1,
 ) -> SolverState:
     """Step from state0.t to t_end, landing exactly on sample times and on
     t_end.
@@ -205,7 +204,7 @@ def run(
             remaining = target - state.t
             boundary_step = dt_nominal >= remaining
             dt = remaining if boundary_step else dt_nominal
-            state = step(state, dt, advection_sign)
+            state = step(state, dt)
             if boundary_step:
                 state = replace(state, t=target)
 

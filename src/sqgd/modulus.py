@@ -41,9 +41,10 @@ inequality holds for computed increments up to a relative 2^-51, which
 the margin 1e-9 covers. Each scan computes J only where U could still
 change its result: b_min where U(h) >= omega(b|h|) * (1 - 1e-9) for the
 largest ratio b found, the least slack where
-omega_B(|h|) * (1 - 1e-9) - U(h) is below the least slack found. Both
-rules and both stops leave the result unchanged, bit for bit.
-calibrate_c_omega computes J for every class.
+omega_B(|h|) * (1 - 1e-9) - U(h) is below the least slack found. The
+b_min rule compares in J-space, so it does not rest on omega^{-1} being
+monotone. Both rules and both stops leave the result unchanged, bit for
+bit. calibrate_c_omega computes J for every class.
 
 The induced modulus for the Riesz-transform velocity is
 
@@ -339,12 +340,9 @@ def _classes(n: int, dx: float) -> tuple[np.ndarray, ...]:
 
 def _class_blocks(theta: ScalarField, keep):
     """Yield (di, dj, xi, jump) arrays block by block, in order of
-    increasing separation xi. ``jump`` holds the class increment
-    J(h) = max_x |theta(x + h) - theta(x)| for the classes that
-    ``keep(xi, upper)`` selects and the subadditive bound ``upper`` >= J(h)
-    of the module docstring for the others, so a caller whose keep rule
-    passes every class that could change its result gets that result
-    exactly. The bounds of a block read only earlier blocks.
+    increasing separation xi. ``jump`` holds J(h) for the classes that
+    ``keep(xi, upper)`` selects and the bound U(h) of the module docstring
+    for the others. The bounds of a block read only earlier blocks.
     """
     vals = theta.values
     n = theta.grid.n
@@ -385,13 +383,8 @@ def _witness(theta: ScalarField, di: int, dj: int, xi: float, b: float,
 
 
 def _worst_pair(theta: ScalarField, b: float, p: ModulusParams) -> PairWitness:
-    """Pair with the least slack omega_B(xi) - jump over all classes.
-
-    omega_B(|h|) - osc bounds the slack of class h from below and grows
-    with |h|, so the scan stops once it reaches the least slack found.
-    Before that, classes with omega_B(|h|) * (1 - margin) - U(h) >= least
-    keep their bound U (see _class_blocks): their slack is no smaller.
-    """
+    """Pair with the least slack omega_B(xi) - jump over all classes, by
+    the least-slack scan, stop and keep rule of the module docstring."""
     if not 0.0 <= b < math.inf:
         raise ValueError("modulus scaling must be finite and nonnegative")
     osc = float(theta.values.max() - theta.values.min())
@@ -423,13 +416,9 @@ def check_modulus(theta: ScalarField, b: float, p: ModulusParams) -> tuple[bool,
 
 def minimal_b(theta: ScalarField, p: ModulusParams) -> ModulusCertificate:
     """Smallest scaling for which theta has omega_B on the grid,
-    b_min = max_h omega^{-1}(J(h))/|h| over displacement classes h.
+    b_min = max_h omega^{-1}(J(h))/|h| over displacement classes h, by the
+    b_min scan, stop and keep rule of the module docstring.
 
-    Every class has J(h) <= osc, the oscillation of theta, so the scan
-    stops once |h| * b >= omega^{-1}(osc) for the largest ratio b found.
-    Before that, classes with U(h) < omega(b|h|) * (1 - margin) keep their
-    bound U (see _class_blocks): their ratio is smaller. The test is made
-    in J-space, so it does not rest on omega^{-1} being monotone.
     Constant fields certify at b_min = 0. Returns b_min = +inf, with slack
     -inf, when no representable scaling passes: omega^{-1}(J(h))
     overflows float64 (J about 0.069 at default parameters).

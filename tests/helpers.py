@@ -92,7 +92,9 @@ def etdrk2_step_oracle(theta: ScalarField, A: float, dt: float, sign: int = 1) -
     ``linear_symbol``, ``cmath`` and ``math.expm1``, with a zero symbol on
     the Nyquist row and column; the advection term is
     ``operators.advect``, which criterion 2 checks against
-    ``advection_oracle``.
+    ``advection_oracle``. ``sign = -1`` flips the advection term, the
+    opposite transport convention, which the library reaches only by
+    negating the field.
     """
     n = theta.grid.n
     e, w1, w2 = (np.empty((n, n // 2 + 1), dtype=np.complex128) for _ in range(3))

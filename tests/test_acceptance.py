@@ -26,7 +26,6 @@ from sqgd import (
     gradient,
     half_laplacian,
     minimal_b,
-    modulus,
     modulus_inverse,
     modulus_slope,
     read_snapshot,
@@ -39,6 +38,7 @@ from sqgd import (
 from sqgd.cli import execute_run
 from sqgd.config import RunConfig
 from sqgd.initial import random_smooth, single_mode
+from sqgd.modulus import modulus
 
 from helpers import advection_oracle, field_from_coeffs, velocity_modulus_oracle
 

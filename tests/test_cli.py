@@ -16,13 +16,14 @@ from sqgd import (
     Grid,
     ModulusParams,
     ScalarField,
+    StepControl,
     audit_breakthrough,
     minimal_b,
     read_snapshot,
     two_mode,
     write_snapshot,
 )
-from sqgd.cli import CSV_HEADER, main, write_diagnostics_csv
+from sqgd.cli import main, write_diagnostics_csv
 from sqgd.config import RunConfig, build_config, parse_config_file
 from sqgd.diagnostics import DiagnosticsRecord
 
@@ -46,7 +47,8 @@ class TestCmdRun:
         code = main(run_args(tmp_path / "o", n=16, t_end=0.0, init="single_mode"))
         assert code == 0
         header, rows = read_csv(tmp_path / "o" / "diagnostics.csv")
-        assert ",".join(header) == CSV_HEADER
+        assert ",".join(header) == ("t,l2,linf,max_grad,mean,nonlinear_flux,"
+                                    "dispersive_flux,dissipation,b_min")
         assert len(rows) == 1
         assert float(rows[0][0]) == 0.0
 
@@ -179,7 +181,7 @@ def run_configs(draw):
                                        exclude_min=True, exclude_max=True))
     values = dict(
         n=draw(st.integers()), t_end=draw(st.floats(min_value=0.0, allow_infinity=False)),
-        A=draw(finite), advection_sign=draw(st.sampled_from([1, -1])),
+        A=draw(finite),
         step_mode=draw(st.sampled_from(["fixed", "cfl"])), dt_fixed=draw(positive),
         cfl_number=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         dt_max=draw(positive), gamma=gamma, delta=delta, c_omega=draw(positive),
@@ -214,10 +216,15 @@ class TestConfigFile:
         assert cfg.A == 2.0
 
     def test_unknown_key_rejected(self, tmp_path):
-        cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("resolution = 32\n")
-        with pytest.raises(ValueError, match="unknown config key"):
-            parse_config_file(cfg_file)
+        # advection_sign is a removed key; a file that sets it must fail like any other
+        for line in ("resolution = 32\n", "advection_sign = 1\n"):
+            cfg_file = tmp_path / "bad.cfg"
+            cfg_file.write_text(line)
+            with pytest.raises(ValueError, match="unknown config key"):
+                parse_config_file(cfg_file)
+            assert main(["run", "--config", str(cfg_file),
+                         "--output-dir", str(tmp_path / "o")]) == 2
+            assert not (tmp_path / "o").exists()
 
     @given(config=run_configs())
     @settings(max_examples=200, deadline=None)
@@ -229,9 +236,10 @@ class TestConfigFile:
             path.write_text(text)
             assert build_config(str(path), {}) == config
 
+    def test_step_defaults_shared(self):
+        assert RunConfig().step_control() == StepControl()
+
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(advection_sign=2)
         with pytest.raises(ValueError):
             RunConfig(t_end=-1.0)
         with pytest.raises(ValueError):

@@ -140,10 +140,13 @@ class TestStepWeights:
     @pytest.mark.parametrize("dt", [1e-5, 1e-3, 0.05, 0.3])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_step_matches_scalar_oracle(self, A, dt, sign):
+        # sign = -1 is the opposite advection convention, which step
+        # reaches by theta -> -theta: oracle(theta, -1) = -step(-theta)
         state = self.state(16, A, seed=9)
-        got = step(state, dt, sign).theta.values
-        want = ScalarField.from_hat(state.theta.grid,
-                                    etdrk2_step_oracle(state.theta, A, dt, sign)).values
+        g = state.theta.grid
+        flipped = SolverState(ScalarField.from_hat(g, sign * state.theta.hat), 0.0, A)
+        got = ScalarField.from_hat(g, sign * step(flipped, dt).theta.hat).values
+        want = ScalarField.from_hat(g, etdrk2_step_oracle(state.theta, A, dt, sign)).values
         assert np.abs(got - want).max() <= 1e-14
 
 
@@ -278,13 +281,15 @@ class TestRun:
 
     @pytest.mark.parametrize("amplitude,sign", [(0.0, 1), (2.0, 1), (2.0, -1)])
     def test_l2_monotone(self, amplitude, sign):
+        # sign = -1 starts from -theta0, as a run of the opposite advection
+        # convention does
         g = Grid(64)
         theta0 = random_smooth(g, seed=1, k_max=12, target_linf=1.0)
         norms = []
-        run(SolverState(theta0, 0.0, amplitude),
+        run(SolverState(ScalarField(g, sign * theta0.values), 0.0, amplitude),
             StepControl(mode="cfl", cfl_number=0.5, dt_max=0.01),
             0.5, hook=lambda s: norms.append(l2_norm(s.theta)),
-            sample_every=0.05, advection_sign=sign)
+            sample_every=0.05)
         for prev, cur in zip(norms, norms[1:]):
             assert cur <= prev * (1 + 1e-8)
 
@@ -336,7 +341,7 @@ class TestTendencyReuse:
         dts = []
         real = integrator.step
         monkeypatch.setattr(integrator, "step",
-                            lambda state, dt, sign: dts.append(dt) or real(state, dt, sign))
+                            lambda state, dt: dts.append(dt) or real(state, dt))
         run(SolverState(theta, 0.0, 0.0), StepControl(mode="cfl", cfl_number=0.5, dt_max=1.0), 1.0)
         dealiased = max(c.linf() for c in velocity(dealias(theta)))
         full = max(c.linf() for c in velocity(theta))

@@ -1,7 +1,7 @@
 """Modulus family, velocity modulus, certificates, and breakthrough audits,
 checked against closed forms and independent quadrature/per-pair oracles."""
 
-import importlib
+import inspect
 import math
 from dataclasses import replace
 from unittest import mock
@@ -20,7 +20,6 @@ from sqgd import (
     calibrate_c_omega,
     check_modulus,
     minimal_b,
-    modulus,
     modulus_inverse,
     modulus_slope,
     riesz_transform,
@@ -28,7 +27,9 @@ from sqgd import (
     scaled_modulus_slope,
     velocity_modulus,
 )
+import sqgd.modulus as MODULUS
 from sqgd.initial import random_smooth
+from sqgd.modulus import modulus
 
 from helpers import (
     certificate_reference,
@@ -44,7 +45,6 @@ from helpers import (
 
 P = ModulusParams()  # gamma=0.01, delta=0.02, c_omega=1
 WIDE = ModulusParams(gamma=0.05, delta=0.4)  # the largest admissible delta
-MODULUS = importlib.import_module("sqgd.modulus")  # the name sqgd.modulus is the function
 AT_DELTA = P.delta - P.delta**1.5  # omega(delta), where the branches meet
 
 
@@ -66,6 +66,10 @@ class TestParams:
 
 
 class TestModulus:
+    def test_package_name_is_the_submodule(self):
+        # the package does not re-export the function modulus over its module
+        assert inspect.ismodule(MODULUS)
+
     def test_value_at_delta(self):
         assert modulus(P.delta, P) == pytest.approx(P.delta - P.delta**1.5, abs=1e-16)
 
