@@ -23,20 +23,28 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .config import RunConfig, build_config
+from .config import VALUE_PARSERS, RunConfig, build_config
 from .diagnostics import DiagnosticsRecord, SampleConfig, sample
 from .fields import ScalarField
 from .grid import Grid
 from .initial import gaussian_bump, random_smooth, single_mode, two_mode
 from .integrator import BlowUpError, SolverState, run
 from .modulus import AuditReport, ModulusParams, audit_breakthrough, minimal_b
-from .snapshot import SnapshotError, read_snapshot, write_atomic, write_snapshot
+from .snapshot import read_snapshot, write_atomic, write_snapshot
 
 _L2_SLACK = 1e-8
 
 
 class L2ViolationError(RuntimeError):
     """The sampled L2 norm increased beyond its tolerance."""
+
+
+# What a command or a sweep member reports as a failure with an exit code.
+_FAILURES = (BlowUpError, L2ViolationError, ValueError, OSError)
+
+
+def _exit_code(exc: Exception) -> int:
+    return 1 if isinstance(exc, BlowUpError) else 3 if isinstance(exc, L2ViolationError) else 2
 
 
 def _fmt(x: float) -> str:
@@ -84,10 +92,9 @@ def make_initial(cfg: RunConfig, grid: Grid) -> ScalarField:
 def execute_run(cfg: RunConfig) -> list[DiagnosticsRecord]:
     """Run one simulation, writing snapshots and diagnostics.csv into
     cfg.output_dir. Partial output is kept when the run aborts."""
+    theta0 = make_initial(cfg, Grid(cfg.n))
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = Grid(cfg.n)
-    theta0 = make_initial(cfg, grid)
     state0 = SolverState(theta=theta0, t=0.0, A=cfg.A)
     scfg = SampleConfig(modulus_params=cfg.modulus_params(),
                         certify_every=cfg.certify_every)
@@ -118,11 +125,9 @@ def _sweep_worker(cfg: RunConfig) -> tuple[float, str, str, str, int]:
     """Run one sweep member; returns a summary row plus an exit status."""
     try:
         records = execute_run(cfg)
-    except (BlowUpError, L2ViolationError, ValueError, OSError) as exc:
-        code = (1 if isinstance(exc, BlowUpError)
-                else 3 if isinstance(exc, L2ViolationError) else 2)
+    except _FAILURES as exc:
         print(f"sweep member A={cfg.A:g} failed: {exc}", file=sys.stderr)
-        return cfg.A, "", "", "", code
+        return cfg.A, "", "", "", _exit_code(exc)
     max_linf = max(rec.linf for rec in records)
     b_values = [rec.b_min for rec in records if rec.b_min is not None]
     max_bmin = _fmt(max(b_values)) if b_values else ""
@@ -143,35 +148,18 @@ def _member_result(cfg: RunConfig, future: Future) -> tuple[float, str, str, str
 # Argument parsing
 
 
-def _add_config_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--t-end", type=float, dest="t_end")
-    parser.add_argument("--A", type=float, dest="A")
-    parser.add_argument("--step-mode", dest="step_mode", choices=["fixed", "cfl"])
-    parser.add_argument("--dt-fixed", type=float, dest="dt_fixed")
-    parser.add_argument("--cfl-number", type=float, dest="cfl_number")
-    parser.add_argument("--dt-max", type=float, dest="dt_max")
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--c-omega", type=float, dest="c_omega")
-    parser.add_argument("--init")
-    parser.add_argument("--init-seed", type=int, dest="init_seed")
-    parser.add_argument("--init-slope", type=float, dest="init_slope")
-    parser.add_argument("--init-kmax", type=int, dest="init_kmax")
-    parser.add_argument("--init-linf", type=float, dest="init_linf")
-    parser.add_argument("--init-width", type=float, dest="init_width")
-    parser.add_argument("--init-path", dest="init_path")
-    parser.add_argument("--sample-every", type=float, dest="sample_every")
-    parser.add_argument("--certify-every", type=int, dest="certify_every")
-    parser.add_argument("--output-dir", dest="output_dir")
+def _add_field_options(parser: argparse.ArgumentParser, cls: type,
+                       defaults: object = None) -> None:
+    """One flag ``--name-with-dashes`` per field of ``cls``, parsed by the
+    field's annotation; unset flags take the field of ``defaults``."""
+    for f in fields(cls):
+        parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                            type=VALUE_PARSERS[f.type],
+                            default=getattr(defaults, f.name, None))
 
 
-def _add_modulus_options(parser: argparse.ArgumentParser) -> None:
-    defaults = ModulusParams()
-    parser.add_argument("--gamma", type=float, default=defaults.gamma)
-    parser.add_argument("--delta", type=float, default=defaults.delta)
-    parser.add_argument("--c-omega", type=float, dest="c_omega", default=defaults.c_omega)
+def _field_values(cls: type, args: argparse.Namespace) -> dict:
+    return {f.name: getattr(args, f.name) for f in fields(cls)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -182,34 +170,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one simulation")
-    _add_config_options(p_run)
-
     p_sweep = sub.add_parser("sweep", help="run a list of amplitudes A")
-    _add_config_options(p_sweep)
+    for p in (p_run, p_sweep):
+        p.add_argument("--config", help="flat key=value config file")
+        _add_field_options(p, RunConfig)
     p_sweep.add_argument("--A-list", dest="A_list", required=True,
                          help="comma-separated amplitudes, e.g. '0,1,5'")
 
     p_cert = sub.add_parser("certify", help="modulus certificate of a snapshot")
-    p_cert.add_argument("snapshot")
-    _add_modulus_options(p_cert)
-
     p_audit = sub.add_parser("audit", help="breakthrough audit of a snapshot")
-    p_audit.add_argument("snapshot")
+    for p in (p_cert, p_audit):
+        p.add_argument("snapshot")
+        _add_field_options(p, ModulusParams, ModulusParams())
     p_audit.add_argument("--B", type=float, required=True, dest="B")
     p_audit.add_argument("--A", type=float, default=None, dest="A",
                          help="dispersion amplitude (default: snapshot header)")
-    _add_modulus_options(p_audit)
 
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        key: getattr(args, key)
-        for key in RunConfig.__dataclass_fields__
-        if hasattr(args, key)
-    }
-    return build_config(args.config, overrides)
+    return build_config(args.config, _field_values(RunConfig, args))
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +198,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    try:
-        execute_run(cfg)
-    except (BlowUpError, L2ViolationError) as exc:
-        print(f"run aborted: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, BlowUpError) else 3
+    execute_run(_config_from_args(args))
     return 0
 
 
@@ -256,14 +232,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    try:
-        field, _, _ = read_snapshot(args.snapshot)
-        params = ModulusParams(gamma=args.gamma, delta=args.delta,
-                               c_omega=args.c_omega)
-        cert = minimal_b(field, params)
-    except (SnapshotError, ValueError, OSError) as exc:
-        print(f"certify failed: {exc}", file=sys.stderr)
-        return 2
+    field, _, _ = read_snapshot(args.snapshot)
+    cert = minimal_b(field, ModulusParams(**_field_values(ModulusParams, args)))
     dx = field.grid.dx
     print("b_min,y1,y2,z1,z2,xi,slack")
     if cert.witness is None:
@@ -277,33 +247,22 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    try:
-        field, _, header_a = read_snapshot(args.snapshot)
-        amplitude = header_a if args.A is None else args.A
-        params = ModulusParams(gamma=args.gamma, delta=args.delta,
-                               c_omega=args.c_omega)
-        report = audit_breakthrough(field, args.B, amplitude, params)
-    except (SnapshotError, ValueError, OSError) as exc:
-        print(f"audit failed: {exc}", file=sys.stderr)
-        return 2
+    field, _, header_a = read_snapshot(args.snapshot)
+    amplitude = header_a if args.A is None else args.A
+    report = audit_breakthrough(field, args.B, amplitude,
+                                ModulusParams(**_field_values(ModulusParams, args)))
     print("\n".join(_csv_lines(AuditReport, [report])))
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "certify":
-            return cmd_certify(args)
-        return cmd_audit(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # looked up when called, so a rebound cmd_* name is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
+    except _FAILURES as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

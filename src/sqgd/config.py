@@ -8,7 +8,7 @@ Overrides win over the file, which wins over the defaults below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Any
 
@@ -17,7 +17,8 @@ from .modulus import ModulusParams
 
 _STEP_DEFAULTS = StepControl()
 _MODULUS_DEFAULTS = ModulusParams()
-_FINITE_FIELDS = ("t_end", "A", "sample_every", "init_slope", "init_linf", "init_width")
+# Parser of each field annotation, shared by config files and flags.
+VALUE_PARSERS = {"int": int, "float": float, "str": str}
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,11 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        for name in _FINITE_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for f in dataclass_fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if self.n < 8 or self.n % 2 != 0:
+            raise ValueError(f"n must be an even integer >= 8, got {self.n}")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
         if self.sample_every <= 0:
@@ -63,6 +66,14 @@ class RunConfig:
             raise ValueError(f"unknown init profile {self.init!r}")
         if self.init == "snapshot" and not self.init_path:
             raise ValueError("init=snapshot requires init_path")
+        if self.init == "random_smooth":
+            if not 1 <= self.init_kmax <= self.n / 3:
+                raise ValueError(f"init_kmax={self.init_kmax} must lie in [1, n/3] "
+                                 f"for n={self.n}")
+            if self.init_linf <= 0:
+                raise ValueError("init_linf must be positive")
+        if self.init == "gaussian_bump" and self.init_width <= 0:
+            raise ValueError("init_width must be positive")
         self.step_control()
         self.modulus_params()
 
@@ -82,14 +93,9 @@ _FIELD_TYPES = {f.name: f.type for f in dataclass_fields(RunConfig)}
 
 
 def _coerce(key: str, text: str) -> Any:
-    kind = _FIELD_TYPES[key]
     text = text.strip()
     try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        return text
+        return VALUE_PARSERS[_FIELD_TYPES[key]](text)
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: cannot parse {text!r}") from exc
 
@@ -117,4 +123,4 @@ def build_config(file_path: str | None, overrides: dict[str, Any]) -> RunConfig:
     if file_path:
         settings.update(parse_config_file(file_path))
     settings.update({k: v for k, v in overrides.items() if v is not None})
-    return replace(RunConfig(), **settings) if settings else RunConfig()
+    return RunConfig(**settings)

@@ -56,6 +56,8 @@ def test_install_then_uninstall_restores_every_patch(tmp_path):
         tracer.uninstall()
     assert namespace_state() == before
 
+    # main dispatches through the patched cmd_* name, so the command has a root span
+    assert "cli.cmd_run" in {span[3] for span in tracer.spans}
     metrics = layer_metrics(tracer.spans, sweep_workers=1)
     assert metrics["fields.from_hat.calls"] > 0
     assert metrics["operators.advect.calls"] > 0

@@ -23,9 +23,17 @@ from sqgd import (
     two_mode,
     write_snapshot,
 )
-from sqgd.cli import main, write_diagnostics_csv
+from sqgd.cli import (
+    L2ViolationError,
+    _build_parser,
+    _config_from_args,
+    execute_run,
+    main,
+    write_diagnostics_csv,
+)
 from sqgd.config import RunConfig, build_config, parse_config_file
 from sqgd.diagnostics import DiagnosticsRecord
+from sqgd.integrator import BlowUpError
 
 
 def read_csv(path):
@@ -108,8 +116,6 @@ class TestCmdRun:
         assert len(rows) == 2
 
     def test_blowup_exits_1(self, tmp_path, monkeypatch):
-        from sqgd.integrator import BlowUpError
-
         def explode(*args, **kwargs):
             raise BlowUpError("test", 0.1, 3)
 
@@ -120,6 +126,12 @@ class TestCmdRun:
     def test_invalid_config_exits_2(self, tmp_path):
         code = main(run_args(tmp_path / "o", n=16, t_end=0.2, init="nonsense"))
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value", [("n", "7"), ("init_kmax", "-3")])
+    def test_invalid_grid_or_init_writes_nothing(self, tmp_path, capsys, flag, value):
+        assert main(run_args(tmp_path / "o", **{flag: value})) == 2
+        assert not (tmp_path / "o").exists()
+        assert capsys.readouterr().err.startswith(f"run failed: {flag}")
 
     @pytest.mark.parametrize("flag,value", [
         ("t_end", "nan"), ("sample_every", "nan"), ("dt_max", "nan"), ("A", "inf"),
@@ -146,6 +158,7 @@ class TestCmdRun:
         code = main(run_args(tmp_path / "o", n=16, t_end=0.1, init="snapshot",
                              init_path=str(tmp_path / "missing.sqgd")))
         assert code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_failed_csv_write_keeps_earlier_file(self, tmp_path):
         path = tmp_path / "diagnostics.csv"
@@ -179,8 +192,9 @@ def run_configs(draw):
     gamma_max = min(delta, 4.0 * delta * (1.0 - 1.5 * math.sqrt(delta)))
     gamma = gamma_max * draw(st.floats(min_value=0.0, max_value=1.0,
                                        exclude_min=True, exclude_max=True))
+    n = 2 * draw(st.integers(min_value=4))
     values = dict(
-        n=draw(st.integers()), t_end=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        n=n, t_end=draw(st.floats(min_value=0.0, allow_infinity=False)),
         A=draw(finite),
         step_mode=draw(st.sampled_from(["fixed", "cfl"])), dt_fixed=draw(positive),
         cfl_number=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
@@ -188,7 +202,8 @@ def run_configs(draw):
         init=draw(st.sampled_from(["random_smooth", "single_mode", "two_mode",
                                    "gaussian_bump", "snapshot"])),
         init_seed=draw(st.integers()), init_slope=draw(finite),
-        init_kmax=draw(st.integers()), init_linf=draw(finite), init_width=draw(finite),
+        init_kmax=draw(st.integers(min_value=1, max_value=n // 3)),
+        init_linf=draw(finite), init_width=draw(finite),
         init_path=draw(config_text), sample_every=draw(positive),
         certify_every=draw(st.integers(min_value=0)), output_dir=draw(config_text),
     )
@@ -235,6 +250,15 @@ class TestConfigFile:
             path = Path(tmp) / "run.cfg"
             path.write_text(text)
             assert build_config(str(path), {}) == config
+        # --flag=value keeps a value that starts with '-' attached to its flag
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in vars(config).items()]
+        assert _config_from_args(_build_parser().parse_args(["run", *flags])) == config
+
+    def test_modulus_flag_defaults(self):
+        defaults = vars(ModulusParams())
+        for argv in (["certify", "f.sqgd"], ["audit", "f.sqgd", "--B", "1"]):
+            args = vars(_build_parser().parse_args(argv))
+            assert {key: args[key] for key in defaults} == defaults
 
     def test_step_defaults_shared(self):
         assert RunConfig().step_control() == StepControl()
@@ -288,14 +312,33 @@ class TestCmdSweep:
         for row in rows:
             assert row[1] != "" and row[3] != ""
 
-    def test_failing_member_keeps_summary(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("error,expected", [
+        (BlowUpError("test", 0.1, 3), 1), (L2ViolationError("test"), 3),
+        (ValueError("test"), 2),
+    ], ids=["BlowUpError", "L2ViolationError", "ValueError"])
+    def test_failing_member_keeps_summary(self, tmp_path, monkeypatch, error, expected):
         monkeypatch.setenv("SQGD_THREADS", "2")
-        # init_kmax 9 exceeds n/3 for n = 16, so each member raises ValueError
+
+        def fail_at_one(cfg):
+            if cfg.A == 1:
+                raise error
+            return execute_run(cfg)
+
+        # the pool forks, so its members inherit the patched module
+        monkeypatch.setattr("sqgd.cli.execute_run", fail_at_one)
         code = main(["sweep", "--A-list", "0,1", "--output-dir", str(tmp_path / "s"),
-                     "--n", "16", "--t-end", "0.1", "--init-kmax", "9"])
-        assert code == 2
+                     "--n", "16", "--t-end", "0.1", "--init-kmax", "4",
+                     "--init-linf", "0.01", "--certify-every", "1"])
+        assert code == expected
         _, rows = read_csv(tmp_path / "s" / "summary.csv")
-        assert [row[0] for row in rows] == ["0", "1"]
+        assert rows[0][0] == "0" and all(rows[0])
+        assert rows[1] == ["1", "", "", ""]
+
+    def test_invalid_member_config_writes_nothing(self, tmp_path):
+        code = main(["sweep", "--n", "7", "--A-list", "0,1",
+                     "--output-dir", str(tmp_path / "s")])
+        assert code == 2
+        assert not (tmp_path / "s").exists()
 
     def test_dead_member_process_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SQGD_THREADS", "2")
