@@ -8,7 +8,6 @@ preservation of a family of moduli of continuity.
 from .config import RunConfig, build_config, parse_config_file
 from .diagnostics import (
     DiagnosticsRecord,
-    SampleConfig,
     chebyshev_check,
     energy_budget,
     norms,

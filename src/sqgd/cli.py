@@ -24,7 +24,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import VALUE_PARSERS, RunConfig, build_config
-from .diagnostics import DiagnosticsRecord, SampleConfig, sample
+from .diagnostics import DiagnosticsRecord, sample
 from .fields import ScalarField
 from .grid import Grid
 from .initial import gaussian_bump, random_smooth, single_mode, two_mode
@@ -96,13 +96,13 @@ def execute_run(cfg: RunConfig) -> list[DiagnosticsRecord]:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     state0 = SolverState(theta=theta0, t=0.0, A=cfg.A)
-    scfg = SampleConfig(modulus_params=cfg.modulus_params(),
-                        certify_every=cfg.certify_every)
+    params = cfg.modulus_params()
 
     records: list[DiagnosticsRecord] = []
 
     def hook(state: SolverState) -> None:
-        rec = sample(state, scfg, len(records))
+        certify = cfg.certify_every and len(records) % cfg.certify_every == 0
+        rec = sample(state, params if certify else None)
         write_snapshot(out / f"snapshot_{len(records):06d}.sqgd",
                        state.theta, state.t, state.A)
         if records and rec.l2 > records[-1].l2 * (1.0 + _L2_SLACK):
@@ -185,6 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--B", type=float, required=True, dest="B")
     p_audit.add_argument("--A", type=float, default=None, dest="A",
                          help="dispersion amplitude (default: snapshot header)")
+    p_audit.add_argument("--c-omega", type=float, default=1.0, help="velocity-modulus constant")
 
     return parser
 
@@ -249,8 +250,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     field, _, header_a = read_snapshot(args.snapshot)
     amplitude = header_a if args.A is None else args.A
-    report = audit_breakthrough(field, args.B, amplitude,
-                                ModulusParams(**_field_values(ModulusParams, args)))
+    params = ModulusParams(**_field_values(ModulusParams, args))
+    report = audit_breakthrough(field, args.B, amplitude, params, args.c_omega)
     print("\n".join(_csv_lines(AuditReport, [report])))
     return 0
 

@@ -29,13 +29,11 @@ class RunConfig:
     A: float = 0.0
     # time stepping
     step_mode: str = _STEP_DEFAULTS.mode
-    dt_fixed: float = _STEP_DEFAULTS.dt_fixed
     cfl_number: float = _STEP_DEFAULTS.cfl_number
     dt_max: float = _STEP_DEFAULTS.dt_max
     # modulus family
     gamma: float = _MODULUS_DEFAULTS.gamma
     delta: float = _MODULUS_DEFAULTS.delta
-    c_omega: float = _MODULUS_DEFAULTS.c_omega
     # initial data
     init: str = "random_smooth"
     init_seed: int = 0
@@ -80,13 +78,12 @@ class RunConfig:
     def step_control(self) -> StepControl:
         return StepControl(
             mode=self.step_mode,
-            dt_fixed=self.dt_fixed,
             cfl_number=self.cfl_number,
             dt_max=self.dt_max,
         )
 
     def modulus_params(self) -> ModulusParams:
-        return ModulusParams(gamma=self.gamma, delta=self.delta, c_omega=self.c_omega)
+        return ModulusParams(gamma=self.gamma, delta=self.delta)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclass_fields(RunConfig)}

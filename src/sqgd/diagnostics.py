@@ -36,8 +36,8 @@ from .operators import advect, gradient, riesz_transform
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """One sampled row of run diagnostics. ``b_min`` is only present at
-    the certification cadence (it costs a class scan)."""
+    """One sampled row of run diagnostics. ``b_min`` is only present on
+    certified samples (it costs a class scan)."""
 
     t: float
     l2: float
@@ -48,15 +48,6 @@ class DiagnosticsRecord:
     dispersive_flux: float
     dissipation: float
     b_min: float | None = None
-
-
-@dataclass(frozen=True)
-class SampleConfig:
-    """Cadence and parameters for assembling records. ``certify_every`` in
-    units of samples; 0 disables certification."""
-
-    modulus_params: ModulusParams | None = None
-    certify_every: int = 0
 
 
 def norms(theta: ScalarField) -> tuple[float, float, float, float]:
@@ -111,22 +102,12 @@ def chebyshev_check(theta: ScalarField, M: float, l2_initial: float) -> tuple[fl
     return measure, bound, ok
 
 
-def sample(state: SolverState, cfg: SampleConfig, index: int) -> DiagnosticsRecord:
-    """Assemble a record for the given sample index.
-
-    Certification runs only when ``index`` is a multiple of
-    ``certify_every``.
-    """
+def sample(state: SolverState, params: ModulusParams | None = None) -> DiagnosticsRecord:
+    """Assemble a record of the state, certified under ``params`` when
+    they are given."""
     l2, linf, max_grad, mean = norms(state.theta)
     nonlinear, dispersive, dissipation = energy_budget(state.theta, state.A, state.tendency[0])
-    b_min = None
-    certify = (
-        cfg.modulus_params is not None
-        and cfg.certify_every > 0
-        and index % cfg.certify_every == 0
-    )
-    if certify:
-        b_min = minimal_b(state.theta, cfg.modulus_params).b_min
+    b_min = None if params is None else minimal_b(state.theta, params).b_min
     return DiagnosticsRecord(
         t=state.t,
         l2=l2,

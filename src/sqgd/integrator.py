@@ -59,20 +59,16 @@ class SolverState:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Time-step selection policy. ``fixed`` uses dt_fixed, ``cfl`` adapts
-    to the current advective speed; either way the chosen dt never exceeds
-    dt_max."""
+    """Time-step selection policy. ``fixed`` steps at dt_max, ``cfl``
+    adapts to the current advective speed and never exceeds dt_max."""
 
     mode: str = "cfl"
-    dt_fixed: float = 1e-3
     cfl_number: float = 0.5
     dt_max: float = 0.01
 
     def __post_init__(self) -> None:
         if self.mode not in ("fixed", "cfl"):
             raise ValueError(f"mode must be 'fixed' or 'cfl', got {self.mode!r}")
-        if not 0 < self.dt_fixed < math.inf:
-            raise ValueError("dt_fixed must be positive and finite")
         if not 0 < self.cfl_number <= 1:
             raise ValueError("cfl_number must lie in (0, 1]")
         if not 0 < self.dt_max < math.inf:
@@ -197,7 +193,7 @@ def run(
             next_sample = math.inf if sample_every is None else t0 + sample_index * sample_every
             target = min(t_end, next_sample)
             if ctrl.mode == "fixed":
-                dt_nominal = min(ctrl.dt_fixed, ctrl.dt_max)
+                dt_nominal = ctrl.dt_max
             else:
                 dt_nominal = cfl_dt(state.tendency[1], state.theta.grid, ctrl)
 

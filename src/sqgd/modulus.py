@@ -52,8 +52,9 @@ The induced modulus for the Riesz-transform velocity is
                       + xi * int_xi^inf omega(eta)/eta^2 deta ),
 
 with Omega_B(xi) = Omega(B*xi) by a change of variables. The constant C is
-not pinned down by theory at this level of generality; it is exposed as
-``c_omega`` (default 1) with a calibration helper, and audits report
+not pinned down by theory at this level of generality. velocity_modulus
+evaluates the C = 1 modulus; audit_breakthrough takes C as ``c_omega``
+(default 1), calibrate_c_omega measures it on a corpus, and audits report
 measured/bound ratios rather than asserting them. Both integrals have
 closed forms, evaluated by velocity_modulus with numpy alone.
 """
@@ -84,8 +85,7 @@ _PRUNE_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class ModulusParams:
-    """Constants (gamma, delta) of the modulus family plus the velocity
-    modulus constant c_omega.
+    """Constants (gamma, delta) of the modulus family.
 
     Constraints: 0 < gamma < delta <= 0.4 keeps the inner branch strictly
     increasing, and gamma < 4*delta*(1 - 1.5*sqrt(delta)) makes the left
@@ -95,7 +95,6 @@ class ModulusParams:
 
     gamma: float = 0.01
     delta: float = 0.02
-    c_omega: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0 < self.gamma < self.delta:
@@ -108,8 +107,6 @@ class ModulusParams:
             raise ValueError(
                 "derivative jump violated: need gamma/(4*delta) < 1 - 1.5*sqrt(delta)"
             )
-        if not 0 < self.c_omega < math.inf:
-            raise ValueError("c_omega must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -220,22 +217,14 @@ def scaled_modulus(xi, b: float, p: ModulusParams):
     """omega_B(xi) = omega(b*xi); b = 0 gives the zero function."""
     if b < 0:
         raise ValueError("modulus scaling must be nonnegative")
-    arr = _validate_separations(xi)
-    if b == 0.0:
-        out = np.zeros_like(arr)
-        return out if arr.ndim else 0.0
-    return modulus(b * arr, p)
+    return modulus(b * _validate_separations(xi), p)
 
 
 def scaled_modulus_slope(xi, b: float, p: ModulusParams):
     """omega_B'(xi) = b * omega'(b*xi)."""
     if b < 0:
         raise ValueError("modulus scaling must be nonnegative")
-    arr = _validate_separations(xi)
-    if b == 0.0:
-        out = np.zeros_like(arr)
-        return out if arr.ndim else 0.0
-    return b * modulus_slope(b * arr, p)
+    return b * modulus_slope(b * _validate_separations(xi), p)
 
 
 def _scaled_e1(x):
@@ -249,10 +238,10 @@ def _scaled_e1(x):
 
 
 def velocity_modulus(xi, p: ModulusParams):
-    """Omega(xi) of the module docstring in closed form; accepts scalars or arrays.
+    """Omega(xi) of the module docstring with C = 1, in closed form; accepts scalars or arrays.
 
     With c = omega(delta), xi_in = min(xi, delta), xi_out = max(xi, delta)
-    and s = log(xi_out/delta), Omega(xi) = c_omega * (near + xi * far), where
+    and s = log(xi_out/delta), Omega(xi) = near + xi * far, where
 
         near = xi_in - (2/3) xi_in^{3/2} + c s + gamma ((4 + s) log(1 + s/4) - s),
         far = log(delta/xi_in) - 2 (sqrt(delta) - sqrt(xi_in))
@@ -273,7 +262,7 @@ def velocity_modulus(xi, p: ModulusParams):
     with np.errstate(divide="ignore", invalid="ignore"):
         far = (np.log(d / inner) - 2.0 * (math.sqrt(d) - np.sqrt(inner))
                + (c + g * (log_s + _scaled_e1(4.0 + s))) / outer)
-        out = p.c_omega * np.where(arr > 0, near + arr * far, 0.0)
+        out = np.where(arr > 0, near + arr * far, 0.0)
     return out if arr.ndim else float(out)
 
 
@@ -446,8 +435,10 @@ def minimal_b(theta: ScalarField, p: ModulusParams) -> ModulusCertificate:
     return ModulusCertificate(b_min=best, witness=worst, slack=worst.slack)
 
 
-def audit_breakthrough(theta: ScalarField, b: float, a: float, p: ModulusParams) -> AuditReport:
-    """Measure the breakthrough-scenario quantities at the tightest pair.
+def audit_breakthrough(theta: ScalarField, b: float, a: float, p: ModulusParams,
+                       c_omega: float = 1.0) -> AuditReport:
+    """Measure the breakthrough-scenario quantities at the tightest pair,
+    with Omega_B scaled by the velocity-modulus constant ``c_omega``.
 
     This is a report, not an assertion: c_omega is calibrated, so the
     dispersive bound is checked as a ratio. The advective and dissipative
@@ -457,13 +448,15 @@ def audit_breakthrough(theta: ScalarField, b: float, a: float, p: ModulusParams)
     """
     if not math.isfinite(a):
         raise ValueError("amplitude must be finite")
+    if not 0 < c_omega < math.inf:
+        raise ValueError("c_omega must be positive and finite")
     a = abs(a)
     worst = _worst_pair(theta, b, p)
     xi = worst.xi
 
     omega_at = scaled_modulus(xi, b, p)
     slope_at = scaled_modulus_slope(xi, b, p)
-    big = velocity_modulus(b * xi, p)
+    big = c_omega * velocity_modulus(b * xi, p)
     rhs = (-slope_at + a) * big
 
     u2 = riesz_transform(theta, 1).values
@@ -489,19 +482,18 @@ def calibrate_c_omega(thetas, p: ModulusParams, *, b_margin: float = 1e-3) -> fl
 
     For each field the certificate b_min is computed, the velocity
     component u2 = R_1(theta) is scanned over every displacement class,
-    and the largest ratio of velocity increment to Omega_B(xi) with
-    c_omega = 1 is recorded. The returned maximum is the corpus-calibrated
-    c_omega; audits of comparable fields should then report
+    and the largest ratio of velocity increment to the C = 1 Omega_B(xi)
+    is recorded. The returned maximum is the corpus-calibrated c_omega;
+    audits of comparable fields at that c_omega should then report
     disp_ratio <= 1 up to sampling fluctuation.
     """
-    reference = replace(p, c_omega=1.0)
     worst = 0.0
     for theta in thetas:
-        cert = minimal_b(theta, reference)
+        cert = minimal_b(theta, p)
         if cert.b_min == 0.0 or math.isinf(cert.b_min):
             continue
         b = cert.b_min * (1.0 + b_margin)
         blocks = _class_blocks(riesz_transform(theta, 1), lambda xi, upper: np.ones(xi.size, bool))
         _, _, xi, jump = map(np.concatenate, zip(*blocks))
-        worst = max(worst, float((jump / velocity_modulus(b * xi, reference)).max()))
+        worst = max(worst, float((jump / velocity_modulus(b * xi, p)).max()))
     return worst

@@ -206,7 +206,7 @@ def velocity_modulus_oracle(xi: float, p: ModulusParams, panels: int = 1_000_000
     omega_cut = modulus(cut, p)
     tail_lo = xi * omega_cut / cut
     tail_hi = xi * (omega_cut + gamma_eff) / cut
-    return p.c_omega * (near + far + tail_lo), p.c_omega * (near + far + tail_hi)
+    return near + far + tail_lo, near + far + tail_hi
 
 
 def velocity_modulus_mp_oracle(xi: float, p: ModulusParams, dps: int = 30) -> float:
@@ -223,7 +223,7 @@ def velocity_modulus_mp_oracle(xi: float, p: ModulusParams, dps: int = 30) -> fl
 
         near = mpmath.quad(lambda e: omega(e) / e, sorted({mpmath.mpf(0), min(x, d), x}))
         far = mpmath.quad(lambda e: omega(e) / e**2, sorted({x, max(x, d)}) + [mpmath.inf])
-        return float(p.c_omega * (near + x * far))
+        return float(near + x * far)
 
 
 def minimal_b_per_pair_oracle(theta: ScalarField, p: ModulusParams) -> float:

@@ -192,7 +192,7 @@ def test_criterion_03_linear_exactness_and_order():
     worst = 0.0
     for A in (0.0, 1.0, 5.0):
         state0 = SolverState(ScalarField(g, np.cos(g.x1)), 0.0, A)
-        ctrl = StepControl(mode="fixed", dt_fixed=0.01, dt_max=1.0)
+        ctrl = StepControl(mode="fixed", dt_max=0.01)
         out = run(state0, ctrl, 1.0)
         exact = math.exp(-1.0) * np.cos(g.x1 + A * 1.0)
         worst = max(worst, float(np.abs(out.theta.values - exact).max()))
@@ -202,7 +202,7 @@ def test_criterion_03_linear_exactness_and_order():
     theta0 = random_smooth(g, seed=2, k_max=10, target_linf=1.0)
     results = {}
     for dt in (4e-3, 2e-3, 1e-3):
-        ctrl = StepControl(mode="fixed", dt_fixed=dt, dt_max=1.0)
+        ctrl = StepControl(mode="fixed", dt_max=dt)
         results[dt] = run(SolverState(theta0, 0.0, 1.0), ctrl, 0.2).theta.values
     err_coarse = float(np.abs(results[4e-3] - results[2e-3]).max())
     err_fine = float(np.abs(results[2e-3] - results[1e-3]).max())
@@ -311,7 +311,7 @@ def test_criterion_07_modulus_machinery():
                     epsabs=1e-11, epsrel=1e-11, limit=500, points=points)[0]
         far = xi * quad(lambda e: scaled_modulus(e, b, P) / e**2, xi, np.inf,
                         epsabs=1e-12, epsrel=1e-11, limit=500)[0]
-        direct = P.c_omega * (near + far)
+        direct = near + far
         dev = abs(velocity_modulus(b * xi, P) - direct)
         worst_scaling = max(worst_scaling, dev)
         assert dev <= 1e-8

@@ -3,9 +3,11 @@ config precedence, and byte-level reproducibility."""
 
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from sqgd import (
     StepControl,
     audit_breakthrough,
     minimal_b,
+    random_smooth,
     read_snapshot,
     two_mode,
     write_snapshot,
@@ -63,7 +66,7 @@ class TestCmdRun:
     def test_single_mode_linear_decay(self, tmp_path):
         code = main(run_args(tmp_path / "o", n=32, t_end=1.0, A=0.0,
                              init="single_mode", step_mode="fixed",
-                             dt_fixed=0.05, dt_max=1.0, sample_every=0.25))
+                             dt_max=0.05, sample_every=0.25))
         assert code == 0
         _, rows = read_csv(tmp_path / "o" / "diagnostics.csv")
         final_l2 = float(rows[-1][1])
@@ -92,18 +95,23 @@ class TestCmdRun:
         snaps = sorted((tmp_path / "o").glob("snapshot_*.sqgd"))
         assert len(snaps) == len(rows) == 5
 
-    def test_bmin_cadence_in_csv(self, tmp_path):
-        main(run_args(tmp_path / "o", n=16, t_end=0.2, init="random_smooth",
+    @pytest.mark.parametrize("certify_every", [2, 5])
+    def test_bmin_cadence_in_csv(self, tmp_path, certify_every):
+        main(run_args(tmp_path / "o", n=16, t_end=0.55, init="random_smooth",
                       init_seed=2, init_kmax=4, init_linf=0.01,
-                      sample_every=0.05, dt_max=0.05, certify_every=2))
+                      sample_every=0.05, dt_max=0.05, certify_every=certify_every))
         _, rows = read_csv(tmp_path / "o" / "diagnostics.csv")
         has_b = [row[8] != "" for row in rows]
-        assert has_b == [i % 2 == 0 for i in range(len(rows))]
+        assert len(rows) == 12
+        assert has_b == [i % certify_every == 0 for i in range(len(rows))]
         assert float(rows[0][8]) > 0
 
     def test_l2_violation_exits_3(self, tmp_path, monkeypatch):
-        def inflating_sample(state, cfg, index):
-            return DiagnosticsRecord(t=state.t, l2=float(index), linf=0.0,
+        calls = []
+
+        def inflating_sample(state, params=None):
+            calls.append(state)
+            return DiagnosticsRecord(t=state.t, l2=float(len(calls)), linf=0.0,
                                      max_grad=0.0, mean=0.0, nonlinear_flux=0.0,
                                      dispersive_flux=0.0, dissipation=0.0)
 
@@ -196,9 +204,9 @@ def run_configs(draw):
     values = dict(
         n=n, t_end=draw(st.floats(min_value=0.0, allow_infinity=False)),
         A=draw(finite),
-        step_mode=draw(st.sampled_from(["fixed", "cfl"])), dt_fixed=draw(positive),
+        step_mode=draw(st.sampled_from(["fixed", "cfl"])),
         cfl_number=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
-        dt_max=draw(positive), gamma=gamma, delta=delta, c_omega=draw(positive),
+        dt_max=draw(positive), gamma=gamma, delta=delta,
         init=draw(st.sampled_from(["random_smooth", "single_mode", "two_mode",
                                    "gaussian_bump", "snapshot"])),
         init_seed=draw(st.integers()), init_slope=draw(finite),
@@ -231,8 +239,9 @@ class TestConfigFile:
         assert cfg.A == 2.0
 
     def test_unknown_key_rejected(self, tmp_path):
-        # advection_sign is a removed key; a file that sets it must fail like any other
-        for line in ("resolution = 32\n", "advection_sign = 1\n"):
+        # removed keys must fail like any other
+        for line in ("resolution = 32\n", "advection_sign = 1\n", "dt_fixed = 0.1\n",
+                     "c_omega = 2\n"):
             cfg_file = tmp_path / "bad.cfg"
             cfg_file.write_text(line)
             with pytest.raises(ValueError, match="unknown config key"):
@@ -455,6 +464,90 @@ class TestCmdAudit:
         write_snapshot(snap, two_mode(Grid(16)), 0.0, 1.0)
         assert main(["audit", str(snap), "--B", "5", "--A", amplitude]) == 2
         assert capsys.readouterr().out == ""
+
+
+# For each RunConfig field: settings of a small run in which the field is
+# live, on top of LIVE_BASE, and a new value for the field. A path is
+# relative to the test's directory.
+LIVE_BASE = dict(n=16, t_end=0.1, sample_every=0.05, dt_max=0.05, init_kmax=4,
+                 output_dir="out")
+CERTIFIED = dict(init_linf=0.01, certify_every=1)
+LIVE_SETTINGS = {
+    "n": ({}, 24),
+    "t_end": ({}, 0.15),
+    "A": ({}, 1.0),
+    "step_mode": ({"cfl_number": 0.05}, "fixed"),
+    "cfl_number": ({"cfl_number": 0.05}, 0.1),
+    "dt_max": ({}, 0.02),
+    "gamma": (CERTIFIED, 0.005),
+    "delta": (CERTIFIED, 0.03),
+    "init": ({}, "two_mode"),
+    "init_seed": ({}, 1),
+    "init_slope": ({}, 3.0),
+    "init_kmax": ({}, 3),
+    "init_linf": ({}, 0.5),
+    "init_width": ({"init": "gaussian_bump"}, 0.3),
+    "init_path": ({"init": "snapshot", "init_path": "a.sqgd"}, "b.sqgd"),
+    "sample_every": ({}, 0.1),
+    "certify_every": ({"init_linf": 0.01}, 1),
+    "output_dir": ({}, "moved"),
+}
+# For each certify and audit option: the value that replaces the default or
+# the one of SNAPSHOT_BASE.
+SNAPSHOT_BASE = {"certify": {"snapshot": "a.sqgd"}, "audit": {"snapshot": "a.sqgd", "B": 5.0}}
+SNAPSHOT_CHANGES = {"snapshot": "b.sqgd", "gamma": 0.005, "delta": 0.03, "B": 8.0,
+                    "A": 2.0, "c_omega": 2.5}
+
+
+def snapshot_options(command):
+    argv = [command, "f.sqgd"] + (["--B", "1"] if command == "audit" else [])
+    return sorted(set(vars(_build_parser().parse_args(argv))) - {"command"})
+
+
+def write_snapshot_pair(tmp_path):
+    for seed, name in enumerate(("a.sqgd", "b.sqgd")):
+        field = random_smooth(Grid(16), seed=seed, k_max=4, target_linf=0.01)
+        write_snapshot(tmp_path / name, field, 0.0, 1.0)
+
+
+class TestNoDeadSetting:
+    def test_cases_cover_every_setting(self):
+        assert set(LIVE_SETTINGS) == {f.name for f in fields(RunConfig)}
+        assert set(SNAPSHOT_CHANGES) == set(snapshot_options("certify")) | set(
+            snapshot_options("audit"))
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(RunConfig)])
+    def test_run_setting_changes_output(self, tmp_path, field):
+        write_snapshot_pair(tmp_path)
+        base, value = LIVE_SETTINGS[field]
+
+        def outputs(**changes):
+            options = {**LIVE_BASE, **base, **changes}
+            for key in {"init_path", "output_dir"} & options.keys():
+                options[key] = str(tmp_path / options[key])
+            assert main(["run"] + [f"--{key.replace('_', '-')}={text}"
+                                   for key, text in options.items()]) == 0
+            out = Path(options["output_dir"])
+            found = out, {p.name: p.read_bytes() for p in out.iterdir()}
+            shutil.rmtree(out)
+            return found
+
+        assert outputs() != outputs(**{field: value})
+
+    @pytest.mark.parametrize("command,option", [
+        (command, option) for command in ("certify", "audit")
+        for option in snapshot_options(command)])
+    def test_snapshot_option_changes_stdout(self, tmp_path, capsys, command, option):
+        write_snapshot_pair(tmp_path)
+
+        def stdout(**changes):
+            options = {**SNAPSHOT_BASE[command], **changes}
+            argv = [command, str(tmp_path / options.pop("snapshot"))]
+            argv += [f"--{key.replace('_', '-')}={text}" for key, text in options.items()]
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        assert stdout() != stdout(**{option: SNAPSHOT_CHANGES[option]})
 
 
 # Runs `run` and `certify` in a fresh interpreter, prints the SciPy modules

@@ -9,7 +9,6 @@ import pytest
 from sqgd import (
     Grid,
     ModulusParams,
-    SampleConfig,
     ScalarField,
     SolverState,
     StepControl,
@@ -124,7 +123,7 @@ class TestSample:
     def test_zero_state(self):
         g = Grid(16)
         state = SolverState(ScalarField(g, np.zeros((16, 16))), 0.0, 0.0)
-        rec = sample(state, SampleConfig(), 0)
+        rec = sample(state)
         assert (rec.l2, rec.linf, rec.max_grad, rec.mean) == (0.0, 0.0, 0.0, 0.0)
         assert rec.b_min is None
 
@@ -132,21 +131,12 @@ class TestSample:
         g = Grid(32)
         theta = random_smooth(g, seed=4, k_max=8, target_linf=0.01)
         state = SolverState(theta, 0.25, 2.0)
-        cfg = SampleConfig(modulus_params=ModulusParams(), certify_every=1)
-        rec = sample(state, cfg, 0)
+        rec = sample(state, ModulusParams())
         assert (rec.l2, rec.linf, rec.max_grad, rec.mean) == norms(theta)
         assert (rec.nonlinear_flux, rec.dispersive_flux, rec.dissipation) == \
             energy_budget(theta, 2.0)
         assert rec.b_min == minimal_b(theta, ModulusParams()).b_min
         assert rec.t == 0.25
-
-    def test_certification_cadence(self):
-        g = Grid(16)
-        theta = random_smooth(g, seed=1, k_max=4, target_linf=0.01)
-        state = SolverState(theta, 0.0, 0.0)
-        cfg = SampleConfig(modulus_params=ModulusParams(), certify_every=5)
-        present = [sample(state, cfg, i).b_min is not None for i in range(12)]
-        assert present == [i % 5 == 0 for i in range(12)]
 
     def test_audit_attached_when_requested(self):
         g = Grid(16)
@@ -160,7 +150,7 @@ class TestRunDiagnostics:
     def test_discrete_energy_identity(self):
         g = Grid(64)
         theta0 = random_smooth(g, seed=3, k_max=10, target_linf=1.0)
-        ctrl = StepControl(mode="fixed", dt_fixed=5e-4, dt_max=1.0)
+        ctrl = StepControl(mode="fixed", dt_max=5e-4)
         rows = []
 
         def hook(state):

@@ -21,7 +21,7 @@ from sqgd import (
     velocity,
 )
 from sqgd import diagnostics, integrator
-from sqgd.diagnostics import SampleConfig, sample
+from sqgd.diagnostics import sample
 from sqgd.initial import random_smooth, single_mode
 from sqgd.integrator import _step_weights
 
@@ -98,7 +98,7 @@ class TestStepWeights:
 
     def test_one_entry_cleared_after_run(self):
         sizes = []
-        ctrl = StepControl(mode="fixed", dt_fixed=0.03, dt_max=1.0)
+        ctrl = StepControl(mode="fixed", dt_max=0.03)
         out = run(self.state(16, 1.0), ctrl, 0.2,
                   hook=lambda s: sizes.append(_step_weights.cache_info().currsize),
                   sample_every=0.1)
@@ -113,7 +113,7 @@ class TestStepWeights:
                 raise RuntimeError("stop")
 
         with pytest.raises(RuntimeError):
-            run(self.state(16, 1.0), StepControl(mode="fixed", dt_fixed=0.03, dt_max=1.0),
+            run(self.state(16, 1.0), StepControl(mode="fixed", dt_max=0.03),
                 0.2, hook=hook, sample_every=0.1)
         assert _step_weights.cache_info().currsize == 0
 
@@ -233,7 +233,7 @@ class TestRun:
         g = Grid(16)
         state = SolverState(single_mode(g), 0.0, 1.0)
         seen = []
-        out = run(state, StepControl(mode="fixed", dt_fixed=0.1), 0.0,
+        out = run(state, StepControl(mode="fixed"), 0.0,
                   hook=seen.append, sample_every=0.1)
         assert out is state
         assert len(seen) == 1
@@ -241,7 +241,7 @@ class TestRun:
     def test_linear_decay_to_time_one(self):
         g = Grid(32)
         state = SolverState(single_mode(g), 0.0, 0.0)
-        ctrl = StepControl(mode="fixed", dt_fixed=0.01, dt_max=1.0)
+        ctrl = StepControl(mode="fixed", dt_max=0.01)
         out = run(state, ctrl, 1.0)
         exact = math.exp(-1.0) * np.sin(g.x1)
         assert out.t == 1.0
@@ -250,7 +250,7 @@ class TestRun:
     def test_composability(self):
         g = Grid(32)
         theta0 = random_smooth(g, seed=7, k_max=8, target_linf=0.5)
-        ctrl = StepControl(mode="fixed", dt_fixed=0.05, dt_max=1.0)
+        ctrl = StepControl(mode="fixed", dt_max=0.05)
         direct = run(SolverState(theta0, 0.0, 1.0), ctrl, 0.8)
         half = run(SolverState(theta0, 0.0, 1.0), ctrl, 0.4)
         stitched = run(half, ctrl, 0.8)
@@ -259,7 +259,7 @@ class TestRun:
     def test_sample_cadence(self):
         g = Grid(16)
         state = SolverState(single_mode(g), 0.0, 0.0)
-        ctrl = StepControl(mode="fixed", dt_fixed=0.03, dt_max=1.0)
+        ctrl = StepControl(mode="fixed", dt_max=0.03)
         times = []
         run(state, ctrl, 0.5, hook=lambda s: times.append(s.t), sample_every=0.1)
         assert times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
@@ -267,7 +267,7 @@ class TestRun:
     def test_final_partial_step_lands_exactly(self):
         g = Grid(16)
         state = SolverState(single_mode(g), 0.0, 0.0)
-        ctrl = StepControl(mode="fixed", dt_fixed=0.07, dt_max=1.0)
+        ctrl = StepControl(mode="fixed", dt_max=0.07)
         out = run(state, ctrl, 0.25)
         assert out.t == 0.25
 
@@ -320,7 +320,7 @@ class TestTendencyReuse:
             return real(theta)
 
         def hook(state):
-            sample(state, SampleConfig(), 0)
+            sample(state)
             dts.append(state.t)
 
         monkeypatch.setattr(integrator, "advect_with_speed", counted)
@@ -352,7 +352,7 @@ class TestTendencyReuse:
         g = Grid(32)
         state0 = SolverState(random_smooth(g, seed=2, k_max=8, target_linf=1.0), 0.0, 1.0)
         run(state0, StepControl(mode="cfl", cfl_number=0.5, dt_max=0.05), 0.2,
-            hook=lambda state: sample(state, SampleConfig(), 0), sample_every=0.1)
+            hook=lambda state: sample(state), sample_every=0.1)
         assert "tendency" not in vars(state0)
 
     def test_replace_drops_tendency(self):
@@ -371,7 +371,7 @@ class TestBlowUpGuard:
         # A = 100 moves the peak onto one, so the grid sup norm rises
         g = Grid(16)
         theta0 = ScalarField(g, np.sin(g.x1 + np.pi / 16))
-        return SolverState(theta0, 0.0, 100.0), StepControl(mode="fixed", dt_fixed=1e-4)
+        return SolverState(theta0, 0.0, 100.0), StepControl(mode="fixed", dt_max=1e-4)
 
     def blow_up(self):
         state, ctrl = self.translating_mode()
@@ -418,7 +418,7 @@ class TestSelfConvergence:
         t_end = 0.2
         results = {}
         for dt in (4e-3, 2e-3, 1e-3):
-            ctrl = StepControl(mode="fixed", dt_fixed=dt, dt_max=1.0)
+            ctrl = StepControl(mode="fixed", dt_max=dt)
             results[dt] = run(SolverState(theta0, 0.0, 1.0), ctrl, t_end).theta.values
         err_coarse = np.abs(results[4e-3] - results[2e-3]).max()
         err_fine = np.abs(results[2e-3] - results[1e-3]).max()

@@ -3,7 +3,6 @@ checked against closed forms and independent quadrature/per-pair oracles."""
 
 import inspect
 import math
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -43,7 +42,7 @@ from helpers import (
     worst_pair_reference,
 )
 
-P = ModulusParams()  # gamma=0.01, delta=0.02, c_omega=1
+P = ModulusParams()  # gamma=0.01, delta=0.02
 WIDE = ModulusParams(gamma=0.05, delta=0.4)  # the largest admissible delta
 AT_DELTA = P.delta - P.delta**1.5  # omega(delta), where the branches meet
 
@@ -58,7 +57,6 @@ class TestParams:
         dict(gamma=-0.01, delta=0.02),         # negative
         dict(gamma=0.01, delta=0.5),           # delta too large
         dict(gamma=0.38, delta=0.39),          # derivative jump violated
-        dict(gamma=0.01, delta=0.02, c_omega=0.0),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -186,6 +184,13 @@ class TestScaledModulus:
     def test_scale_zero_is_zero(self):
         assert scaled_modulus(0.7, 0.0, P) == 0.0
         assert np.all(scaled_modulus(np.linspace(0, 2, 9), 0.0, P) == 0.0)
+        # the general path gives +0.0 bit for bit, for arrays and for the slope
+        xs = np.linspace(0, 2, 12).reshape(3, 4)
+        for f in (scaled_modulus, scaled_modulus_slope):
+            out = f(xs, 0.0, P)
+            assert out.shape == xs.shape
+            assert np.all(out == 0.0) and not np.signbit(out).any()
+            assert type(f(0.7, 0.0, P)) is float and f(0.7, 0.0, P) == 0.0
 
     def test_scale_two_at_half_delta(self):
         assert scaled_modulus(P.delta / 2, 2.0, P) == pytest.approx(
@@ -223,11 +228,11 @@ class TestVelocityModulus:
                     epsabs=1e-11, epsrel=1e-11, limit=500, points=points)[0]
         far = xi * quad(lambda e: scaled_modulus(e, b, P) / e**2, xi, np.inf,
                         epsabs=1e-12, epsrel=1e-11, limit=500)[0]
-        direct = P.c_omega * (near + far)
+        direct = near + far
         assert velocity_modulus(b * xi, P) == pytest.approx(direct, abs=1e-8)
 
     @pytest.mark.parametrize("params", [
-        P, ModulusParams(gamma=0.05, delta=0.2), ModulusParams(gamma=0.002, delta=0.3, c_omega=2.5),
+        P, ModulusParams(gamma=0.05, delta=0.2), ModulusParams(gamma=0.002, delta=0.3),
     ], ids=["default", "wide", "flat"])
     def test_against_mpmath(self, params):
         d = params.delta
@@ -245,9 +250,12 @@ class TestVelocityModulus:
             velocity_modulus(np.array([0.1, -1e-9, 0.2]), P)
 
     def test_c_omega_scales_linearly(self):
-        doubled = replace(P, c_omega=2.0)
-        assert velocity_modulus(0.1, doubled) == pytest.approx(
-            2 * velocity_modulus(0.1, P), rel=1e-12)
+        # the audit, not the C = 1 modulus, carries the constant
+        theta = random_smooth(Grid(16), seed=0, k_max=4, target_linf=0.01)
+        b = minimal_b(theta, P).b_min * 1.001
+        doubled = audit_breakthrough(theta, b, 2.0, P, c_omega=2.0)
+        assert doubled.disp_bound == pytest.approx(
+            2 * audit_breakthrough(theta, b, 2.0, P, c_omega=1.0).disp_bound, rel=1e-12)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -547,6 +555,12 @@ class TestAuditBreakthrough:
         with pytest.raises(ValueError):
             audit_breakthrough(theta, 5.0, a, P)
 
+    @pytest.mark.parametrize("c_omega", [0.0, -1.0, math.inf, math.nan])
+    def test_invalid_c_omega_rejected(self, c_omega):
+        theta = random_smooth(Grid(16), seed=0, k_max=4, target_linf=0.01)
+        with pytest.raises(ValueError, match="c_omega"):
+            audit_breakthrough(theta, 5.0, 1.0, P, c_omega=c_omega)
+
 
 class TestCalibration:
     def test_corpus_bounds_fresh_seeds(self):
@@ -555,15 +569,14 @@ class TestCalibration:
                   for s in range(8)]
         c_cal = calibrate_c_omega(corpus, P)
         assert c_cal > 0
-        calibrated = replace(P, c_omega=c_cal)
         for seed in (8, 9, 10):
             fresh = random_smooth(g, seed=seed, k_max=8, target_linf=0.01)
             # all-pairs ratio of the fresh field, same estimator as the corpus
             ratio = calibrate_c_omega([fresh], P)
             assert ratio <= 1.05 * c_cal
             # the audit's witness ratio is bounded by the all-pairs ratio
-            cert = minimal_b(fresh, calibrated)
-            rep = audit_breakthrough(fresh, cert.b_min * 1.001, 2.0, calibrated)
+            cert = minimal_b(fresh, P)
+            rep = audit_breakthrough(fresh, cert.b_min * 1.001, 2.0, P, c_cal)
             assert rep.disp_ratio <= 1.0
 
     def test_corpus_value_pinned(self):
